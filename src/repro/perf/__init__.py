@@ -56,6 +56,18 @@ where the payload dict contains every workload parameter the result depends
 on.  ``canonical_value`` handles dataclasses and enums, so passing the
 workload object itself is usually enough.
 
+SIMT execution memo
+-------------------
+Below the timing cache, :meth:`repro.simt.core.VortexCore.execute` memoizes
+each distinct warp-program set, keyed by the frozen ``CoreConfig``, the
+scheduler kind and every warp's instruction tuple, so the issue simulator
+runs once per distinct input.  The table is a module-level dict bound to
+:attr:`TimingCache.generation` (it empties on :meth:`TimingCache.clear`)
+and stores nothing while the cache is disabled.  It is deliberately not a
+:meth:`TimingCache.namespace`: warm processes hit the timing cache first
+and never read it, so persisting it would only grow the snapshot.  Shared
+results are immutable, as above.  See ``docs/perf-contract.md`` section 7.
+
 Worker seeding
 --------------
 The batch runner (:mod:`repro.workloads.batch`) serializes a

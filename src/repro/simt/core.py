@@ -12,16 +12,25 @@ paper's Figure 10 breakdown:
 * ``core.lsu.*``        -- load/store unit occupancy.
 * ``core.writeback.*``  -- register-file writes.
 * ``core.other.*``      -- branches, barriers, everything else.
+
+Execution is memoized process-wide on its full content -- the frozen
+``CoreConfig``, the scheduler kind and every warp's instruction tuple -- so
+each distinct warp-program set goes through the issue simulator once.  The
+table follows the timing cache's lifecycle (it empties when
+``timing_cache().generation`` changes and stores nothing while the cache is
+disabled) but is not part of its snapshot; see ``docs/perf-contract.md``
+section 7.  Results are shared: treat them and their counters as immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 from repro.config.soc import CoreConfig
 from repro.isa.instructions import Instruction, OpClass
 from repro.isa.program import WarpProgram
+from repro.perf.cache import timing_cache
 from repro.sim.stats import Counters
 from repro.simt.issue import IssueResult, IssueSimulator
 
@@ -64,6 +73,11 @@ class CoreExecutionResult:
         return self.issue.instructions_issued
 
 
+#: Execution memo, valid for timing-cache generation ``_MEMO_GENERATION``.
+_MEMO: Dict[Tuple, CoreExecutionResult] = {}
+_MEMO_GENERATION = -1
+
+
 class VortexCore:
     """One Vortex SIMT core: issue timing + per-instruction energy events."""
 
@@ -72,19 +86,35 @@ class VortexCore:
         self._issue_simulator = IssueSimulator(config, scheduler=scheduler)
 
     def execute(self, programs: Sequence[WarpProgram]) -> CoreExecutionResult:
-        """Replay ``programs`` (one per active warp) and collect energy events."""
+        """Replay ``programs`` (one per active warp) and collect energy events.
+
+        The result is a pure function of the core config, the scheduler kind
+        and the warps' instructions, so it is memoized on exactly those and
+        returned by reference.
+        """
+        global _MEMO_GENERATION
+        cache = timing_cache()
+        if not cache.enabled:
+            return self._execute(programs)
+        if cache.generation != _MEMO_GENERATION:
+            _MEMO.clear()
+            _MEMO_GENERATION = cache.generation
+        key = (
+            self.config,
+            self._issue_simulator.scheduler_kind,
+            tuple(tuple(program.instructions) for program in programs),
+        )
+        result = _MEMO.get(key)
+        if result is None:
+            result = _MEMO.setdefault(key, self._execute(programs))
+        return result
+
+    def _execute(self, programs: Sequence[WarpProgram]) -> CoreExecutionResult:
         issue = self._issue_simulator.simulate(programs)
         counters = Counters()
         for program in programs:
             self._count_program(program, counters)
         return CoreExecutionResult(issue=issue, counters=counters)
-
-    def count_events(self, programs: Sequence[WarpProgram]) -> Counters:
-        """Energy events only (no timing), for analytical replication."""
-        counters = Counters()
-        for program in programs:
-            self._count_program(program, counters)
-        return counters
 
     def _count_program(self, program: WarpProgram, counters: Counters) -> None:
         lanes = self.config.lanes
@@ -115,7 +145,3 @@ class VortexCore:
         elif instruction.op_class in (OpClass.LOAD_GLOBAL, OpClass.STORE_GLOBAL):
             counters.add("l1.requests", 1)
             counters.add("l1.bytes", instruction.bytes_accessed)
-
-    def issue_cycles(self, programs: Sequence[WarpProgram]) -> int:
-        """Cycles needed to issue ``programs`` on this core."""
-        return self._issue_simulator.simulate(programs).cycles

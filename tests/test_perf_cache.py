@@ -6,21 +6,29 @@ same canonical ``to_dict()`` encoding for every zoo model x design x dtype
 combination; the cache only changes how often the kernel timing models run.
 """
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.config.presets import DesignKind, make_design
-from repro.config.soc import DataType
-from repro.kernels.flash_attention import FlashAttentionWorkload
-from repro.kernels.gemm import GemmWorkload
+from repro.config.soc import CoreConfig, DataType
+from repro.isa.instructions import OpClass
+from repro.isa.program import WarpProgram
+from repro.kernels.flash_attention import FlashAttentionWorkload, simulate_flash_attention
+from repro.kernels.gemm import GemmWorkload, simulate_gemm
 from repro.perf import (
     SCHEMA_VERSION,
     TimingCache,
     cache_disabled,
     canonical_value,
     design_fingerprint,
+    persistent_timing_cache,
     timing_cache,
 )
 from repro.runner import run_flash_attention, run_gemm
+from repro.simt.core import VortexCore
+from repro.simt.issue import IssueSimulator
 from repro.workloads import model_names, run_model
 from repro.workloads.lowering import _simt_cost
 
@@ -256,3 +264,136 @@ class TestConcurrentMisses:
         assert len(cache) == 1
         assert all(result is results[0] for result in results)
         assert cache.hits + cache.misses == 4
+
+
+# --------------------------------------------------------------------------- #
+# The SIMT execution memo (docs/perf-contract.md section 7)
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def simulate_calls(monkeypatch):
+    """Count every pass through the issue simulator."""
+    calls = []
+    simulate = IssueSimulator.simulate
+
+    def counting(self, programs, *args, **kwargs):
+        calls.append(len(programs))
+        return simulate(self, programs, *args, **kwargs)
+
+    monkeypatch.setattr(IssueSimulator, "simulate", counting)
+    return calls
+
+
+def _kernel_fields(result):
+    """Every field of a kernel result except the diagnostic ``schedule_stats``."""
+    encoded = {
+        field.name: getattr(result, field.name)
+        for field in dataclasses.fields(result)
+        if field.name != "schedule_stats"
+    }
+    encoded["counters"] = result.counters.as_dict()
+    return encoded
+
+
+def _programs(alu=12, loads=3, load_bytes=32):
+    shared = WarpProgram(name="worker").emit_class(OpClass.ALU, repeat=alu)
+    shared.emit_class(OpClass.LOAD_SHARED, repeat=loads, bytes_accessed=load_bytes)
+    return [shared] * 3 + [WarpProgram(name="leader").extend(shared).emit_class(OpClass.BARRIER)]
+
+
+#: A shape below the 128x64 thread-block tile, so the block dims clamp.
+_SMALL_GEMM = GemmWorkload(m=48, n=40, k=24)
+
+
+class TestSimtExecutionMemo:
+    @pytest.mark.parametrize("kind", list(DesignKind), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize(
+        "workload", [GemmWorkload.square(256), _SMALL_GEMM], ids=["256", "clamped"]
+    )
+    def test_gemm_memoized_equals_uncached(self, kind, workload):
+        with cache_disabled():
+            uncached = simulate_gemm(kind, workload)
+        simulate_gemm(kind, workload)
+        warm = simulate_gemm(kind, workload)
+        assert _kernel_fields(warm) == _kernel_fields(uncached)
+        # The core events come from the shared execution result: each
+        # retired instruction is counted exactly once.
+        assert warm.counters["core.issue.instructions"] == warm.retired_instructions
+
+    @pytest.mark.parametrize("kind", [DesignKind.VIRGO, DesignKind.AMPERE], ids=lambda k: k.value)
+    def test_flash_memoized_equals_uncached(self, kind):
+        workload = FlashAttentionWorkload(seq_len=256, causal=True)
+        with cache_disabled():
+            uncached = simulate_flash_attention(kind, workload)
+        simulate_flash_attention(kind, workload)
+        warm = simulate_flash_attention(kind, workload)
+        assert _kernel_fields(warm) == _kernel_fields(uncached)
+
+    def test_identical_executions_share_one_simulation(self, simulate_calls):
+        core = VortexCore(CoreConfig())
+        first = core.execute(_programs())
+        # Fresh program objects with the same content hit the same entry.
+        second = VortexCore(CoreConfig()).execute(_programs())
+        assert second is first
+        assert simulate_calls == [4]
+        with cache_disabled():
+            uncached = core.execute(_programs())
+        assert uncached is not first
+        assert uncached.issue == first.issue
+        assert uncached.counters.as_dict() == first.counters.as_dict()
+
+    def test_key_covers_config_scheduler_and_every_instruction(self, simulate_calls):
+        baseline = VortexCore(CoreConfig()).execute(_programs())
+        VortexCore(CoreConfig(lanes=4)).execute(_programs())
+        VortexCore(CoreConfig(), scheduler="gto").execute(_programs())
+        VortexCore(CoreConfig()).execute(_programs(loads=4))
+        VortexCore(CoreConfig()).execute(_programs()[:3])
+        # Same instruction count and classes, one field changed.
+        wider = VortexCore(CoreConfig()).execute(_programs(load_bytes=64))
+        assert wider.counters["core.lsu.bytes"] == 2 * baseline.counters["core.lsu.bytes"]
+        assert len(simulate_calls) == 6
+        assert VortexCore(CoreConfig()).execute(_programs()) is baseline
+
+    def test_clear_empties_the_memo(self, simulate_calls):
+        core = VortexCore(CoreConfig())
+        first = core.execute(_programs())
+        timing_cache().clear()
+        again = core.execute(_programs())
+        assert again is not first
+        assert simulate_calls == [4, 4]
+
+    def test_disabled_cache_stores_nothing(self, simulate_calls):
+        core = VortexCore(CoreConfig())
+        with cache_disabled():
+            core.execute(_programs())
+            core.execute(_programs())
+        core.execute(_programs())
+        assert simulate_calls == [4, 4, 4]
+
+    def test_snapshot_gains_no_namespace_or_entry(self, tmp_path):
+        with persistent_timing_cache(tmp_path) as path:
+            run_gemm(DesignKind.VOLTA, _SMALL_GEMM)
+            run_flash_attention(DesignKind.AMPERE, FlashAttentionWorkload(seq_len=256))
+        with open(path, "rb") as handle:
+            snapshot = pickle.load(handle)
+        assert snapshot["namespaces"] == {}
+        assert len(snapshot["entries"]) == 2
+
+
+class TestSimtWorkGate:
+    """Exact, machine-independent work counter: issue simulations per cold run.
+
+    Every ``gpt-prefill`` GEMM clamps to one thread-block tile per design, so
+    a cold run simulates each distinct warp-program set once: one for the
+    core-coupled GEMMs, plus one for Ampere's FlashAttention, and a leader
+    and a worker program set for Virgo.  A change that re-simulates
+    identical programs raises these counts.
+    """
+
+    @pytest.mark.parametrize(
+        "design, expected", [("volta", 1), ("ampere", 2), ("hopper", 1), ("virgo", 2)]
+    )
+    def test_cold_gpt_prefill_simulations(self, design, expected, simulate_calls):
+        run_model("gpt-prefill", design)
+        assert len(simulate_calls) == expected

@@ -150,27 +150,27 @@ class TestVortexCore:
     def test_memory_instructions_feed_lsu_and_smem(self):
         core = VortexCore(CoreConfig())
         program = _program(OpClass.LOAD_SHARED, 4, bytes_accessed=32)
-        counters = core.count_events([program])
+        counters = core.execute([program]).counters
         assert counters["core.lsu.requests"] == 4
         assert counters["smem.core_words"] == 4 * 8
 
     def test_global_loads_touch_l1(self):
         core = VortexCore(CoreConfig())
-        counters = core.count_events([_program(OpClass.LOAD_GLOBAL, 2, bytes_accessed=64)])
+        counters = core.execute([_program(OpClass.LOAD_GLOBAL, 2, bytes_accessed=64)]).counters
         assert counters["l1.requests"] == 2
         assert counters["l1.bytes"] == 128
 
     def test_register_traffic_scales_with_lanes(self):
         core = VortexCore(CoreConfig(lanes=8))
-        counters = core.count_events(
+        counters = core.execute(
             [WarpProgram().emit_class(OpClass.FPU, repeat=1, reg_reads=3, reg_writes=1)]
-        )
+        ).counters
         assert counters["core.issue.rf_read_words"] == 24
         assert counters["core.writeback.rf_write_words"] == 8
 
-    def test_issue_cycles_helper(self):
+    def test_execute_reports_issue_cycles(self):
         core = VortexCore(CoreConfig())
-        assert core.issue_cycles([_program(OpClass.ALU, 10)]) == 10
+        assert core.execute([_program(OpClass.ALU, 10)]).cycles == 10
 
 
 class TestRegisterFile:
