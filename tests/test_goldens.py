@@ -32,6 +32,7 @@ from repro.workloads import (
     ServingTrace,
     build_request_stream,
     build_stream_trace,
+    run_fleet,
     run_model,
     run_serving,
 )
@@ -150,6 +151,25 @@ def test_epoch_trace_summary_golden(golden):
         result = run_serving(EPOCH_TRACE, DesignKind.VIRGO)
     assert result.epochs["episode_runs"] >= 1
     golden("trace_summary_epochs", trace_summary(recorder.chrome_trace(), top=5))
+
+
+#: Seeded crash + slowdown + partition chaos on a three-replica fleet over
+#: the SLO-classed bursty trace: this seed crashes replicas with work in
+#: flight (failovers and re-prefill), times out dispatches against a
+#: partitioned replica (retries) and sheds a batch-class request.
+FLEET_CHAOS_FAULTS = "crash:0.6:400000,slow:0.5:2.5:300000,partition:0.4:250000"
+
+
+def test_fleet_chaos_golden(golden):
+    result = run_fleet(
+        "bursty-slo",
+        "trio-virgo",
+        policy="least-outstanding",
+        faults=FLEET_CHAOS_FAULTS,
+        fault_seed=3,
+    )
+    assert result.failover_count > 0 and result.retry_count > 0
+    golden("fleet_chaos_tiny", result.to_dict())
 
 
 def test_to_json_matches_to_dict_encoding():
