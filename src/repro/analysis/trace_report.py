@@ -115,12 +115,14 @@ def trace_summary(trace: Dict[str, object], top: int = 10) -> Dict[str, object]:
     Only simulated-time processes contribute (the wall-clock ``profile``
     process uses a different timebase and is reported solely by its span
     count).  ``makespan_ts`` is the latest span end across the simulated
-    processes; unit occupancy is measured against it.
+    processes; unit occupancy is measured against it.  A unit span's busy
+    time is its duration, or its ``busy_cycles`` arg when it has one.
     """
     events = trace.get("traceEvents", [])
     processes, tracks = _names(events)
 
     spans = []
+    unit_busy = []
     profile_spans = 0
     for event in events:
         if event.get("ph") != "X":
@@ -129,30 +131,33 @@ def trace_summary(trace: Dict[str, object], top: int = 10) -> Dict[str, object]:
         if process == "profile":
             profile_spans += 1
             continue
-        spans.append(
-            {
-                "name": event["name"],
-                "process": process,
-                "track": tracks.get((event["pid"], event["tid"]), str(event["tid"])),
-                "ts": event["ts"],
-                "dur": event["dur"],
-                "cat": event.get("cat", ""),
-            }
-        )
+        span = {
+            "name": event["name"],
+            "process": process,
+            "track": tracks.get((event["pid"], event["tid"]), str(event["tid"])),
+            "ts": event["ts"],
+            "dur": event["dur"],
+            "cat": event.get("cat", ""),
+        }
+        spans.append(span)
+        if process == "units":
+            # A synthesized span (a memoized or extrapolated stretch) lasts
+            # the whole stretch; its ``busy_cycles`` arg is the unit's
+            # actual busy time inside it.
+            unit_busy.append((span, (event.get("args") or {}).get("busy_cycles")))
 
     makespan = max((span["ts"] + span["dur"] for span in spans), default=0)
 
-    unit_spans = [span for span in spans if span["process"] == "units"]
     units: Dict[str, Dict[str, object]] = {}
-    for span in unit_spans:
+    for span, busy in unit_busy:
         entry = units.setdefault(
             span["track"], {"busy": 0, "spans": 0, "buckets": [0.0] * _TIMELINE_BUCKETS}
         )
-        entry["busy"] += span["dur"]
+        entry["busy"] += span["dur"] if busy is None else busy
         entry["spans"] += 1
         if makespan > 0:
-            # Attribute the span's duration to the timeline buckets it
-            # overlaps, proportionally.
+            # Attribute the span's busy time to the timeline buckets it
+            # overlaps, in proportion to the overlap.
             width = makespan / _TIMELINE_BUCKETS
             start, end = span["ts"], span["ts"] + span["dur"]
             first = min(_TIMELINE_BUCKETS - 1, int(start // width))
@@ -161,6 +166,8 @@ def trace_summary(trace: Dict[str, object], top: int = 10) -> Dict[str, object]:
                 lo = bucket * width
                 hi = lo + width
                 overlap = max(0.0, min(end, hi) - max(start, lo))
+                if busy is not None and overlap:
+                    overlap *= busy / span["dur"]
                 entry["buckets"][bucket] += overlap / width
 
     unit_occupancy = {

@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -83,11 +83,12 @@ class TraceSpan:
 class CapturedSpans:
     """A run of spans (and their flow edges) lifted to a relative timebase.
 
-    The serving scheduler stashes one of these per iteration composition at
-    memo-miss time; on a memo hit the merged schedule was never rebuilt, so
-    the captured shape is replayed at the new iteration start instead
-    (:meth:`TraceRecorder.replay`).  Flow indices are relative to the start
-    of the capture.
+    The serving engine takes one of these per executed iteration
+    (:meth:`TraceRecorder.take`) and replays it when the iteration retires;
+    it also keeps one per memoized composition, because on a memo hit the
+    merged schedule was never rebuilt and the shape is replayed at the new
+    iteration start instead (:meth:`TraceRecorder.replay`).  Flow indices
+    are relative to the start of the capture.
     """
 
     spans: List[TraceSpan] = field(default_factory=list)
@@ -221,30 +222,32 @@ class TraceRecorder:
         return first, len(self.spans)
 
     # ------------------------------------------------------------------ #
-    # Capture / replay (memoized serving iterations)
+    # Take / replay (memoized serving iterations)
     # ------------------------------------------------------------------ #
 
     def mark(self) -> Tuple[int, int]:
-        """Current (span, flow) high-water marks; pair with :meth:`capture`."""
+        """Current (span, flow) high-water marks; pair with :meth:`take`."""
         return len(self.spans), len(self.flows)
 
-    def capture(self, marker: Tuple[int, int], base: int) -> CapturedSpans:
-        """Copy everything recorded since ``marker``, rebased to ``base``.
+    def take(self, marker: Tuple[int, int], base: int) -> CapturedSpans:
+        """Lift everything recorded since ``marker`` out of the recorder.
 
-        The recorder keeps the original spans; the returned copy carries
-        starts relative to ``base`` and flow indices relative to the
-        capture start, ready for :meth:`replay` at a different time.
+        The returned shape carries starts relative to ``base`` and flow
+        indices relative to its first span, ready for :meth:`replay`; the
+        recorder drops the spans, so work that is later discarded (a
+        crash-aborted fleet iteration) leaves nothing behind.
         """
         span_mark, flow_mark = marker
-        spans = [
-            replace(span, start=span.start - base, args=dict(span.args) if span.args else None)
-            for span in self.spans[span_mark:]
-        ]
+        spans = self.spans[span_mark:]
+        del self.spans[span_mark:]
+        for span in spans:
+            span.start -= base
         flows = [
             (source - span_mark, target - span_mark)
             for source, target in self.flows[flow_mark:]
             if source >= span_mark and target >= span_mark
         ]
+        del self.flows[flow_mark:]
         return CapturedSpans(spans=spans, flows=flows)
 
     def replay(self, captured: CapturedSpans, base: int) -> None:

@@ -20,13 +20,15 @@ platforms and draw order -- so a fleet run is a pure function of
 ``(trace, fleet, policy, config, fault plan)`` and two runs with the same
 seed are byte-identical.
 
-Scale contract: replicas are stepped *incrementally* between router events
-(arrivals, fault transitions, health-check beliefs, retries) through the
-:meth:`ServingScheduler.iteration_outcome` hook, sharing the process-wide
-iteration memo across replicas; on memo hits with a stable composition the
-replica extrapolates whole epochs up to the next fleet event barrier
+Scale contract: each replica steps the same
+:class:`~repro.workloads.serving.ReplicaEngine` a single-SoC ``serve`` run
+steps, *incrementally* between router events (arrivals, fault transitions,
+health-check beliefs, retries).  Replicas share the process-wide iteration
+memo; on memo hits with a stable composition a replica extrapolates whole
+epochs up to the next fleet event barrier
 (:func:`repro.workloads.epochs.epoch_horizon`), which is what keeps
-million-request fleet sweeps tractable.
+million-request fleet sweeps tractable.  A one-replica fleet without faults
+therefore reproduces ``run_serving`` exactly.
 
 Every request ends in exactly one terminal disposition --
 ``met``/``violated`` (finished, judged against its SLO), ``shed`` (dropped
@@ -47,12 +49,10 @@ from repro.config.presets import DesignKind
 from repro.config.soc import DataType
 from repro.faults import FleetFaultPlan, ReplicaFaultEvent
 from repro.obs import MetricsRegistry, occupancy_percent, phase, trace_recorder
-from repro.perf import timing_cache
 from repro.workloads.control import evaluate_disposition
-from repro.workloads.epochs import accumulate_energy_scalar, epoch_horizon
 from repro.workloads.graph import RequestSpec, ServingTrace
 from repro.workloads.models import resolve_trace
-from repro.workloads.serving import ServingScheduler, _InFlight
+from repro.workloads.serving import ReplicaEngine, ServingScheduler, _InFlight
 
 __all__ = [
     "FLEET_DISPOSITIONS",
@@ -198,14 +198,15 @@ class _FleetRequest:
 
 
 class _Replica:
-    """One simulated SoC: a stepping wrapper over ServingScheduler hooks.
+    """One simulated SoC: a :class:`ReplicaEngine` plus fleet-only state.
 
-    The replica owns its local clock (``now``), active batch, and pending
-    (dispatched, not yet admitted) queue, and advances iteration by
-    iteration -- or whole epochs on memo hits -- up to an externally
-    supplied fleet-event barrier.  An iteration whose end would cross the
-    barrier is parked as ``inflight`` (iterations are atomic) and retired
-    on the next advance; a crash aborts it with its work discarded.
+    The engine owns the replica's clock, batch, stepping and accounting;
+    the replica adds what only a fleet has: the dispatched-but-unadmitted
+    ``pending`` queue, crash/partition/slow truth, and in-flight parking.
+    It advances up to an externally supplied fleet-event barrier; an
+    iteration whose end would cross the barrier stays begun (iterations
+    are atomic) and retires on the next advance, or is aborted with its
+    work discarded if the replica crashes first.
     """
 
     def __init__(
@@ -218,36 +219,24 @@ class _Replica:
     ) -> None:
         self.index = index
         self.design_name = design_name
-        self.scheduler = scheduler
-        self.trace = trace
-        self.compress = compress
-        self.now = 0
-        self.active: List[_InFlight] = []
+        self.engine = ReplicaEngine(
+            scheduler,
+            trace,
+            compress=compress,
+            label=f"replica{index}",
+            process=self._process,
+        )
         self.pending: List[Tuple[int, _FleetRequest]] = []
         self.by_id: Dict[str, _FleetRequest] = {}
-        self.inflight: Optional[Tuple[int, object, int]] = None
         self.down_depth = 0
         self.partition_depth = 0
         self.slow_scales: List[float] = []
         self.believed_up = True
-        # Accounting (span/energy/busy only for work that actually retired).
-        self.iterations = 0
-        self.epochs = 0
-        self.extrapolated_iterations = 0
-        self.aborted_iterations = 0
-        self.serving_cycles = 0
-        self.kernel_count = 0
-        self.energy_uj = 0.0
-        self.resource_busy: Dict[str, int] = {}
         self.dispatched = 0
         self.completed = 0
         self.crashes = 0
         self.slowdowns = 0
         self.partitions = 0
-        self.memo_hits = 0
-        self.memo_misses = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     @property
     def down(self) -> bool:
@@ -264,202 +253,72 @@ class _Replica:
 
     @property
     def outstanding(self) -> int:
-        return len(self.active) + len(self.pending)
-
-    @property
-    def busy(self) -> bool:
-        return bool(self.active or self.pending or self.inflight is not None)
+        return len(self.engine.active) + len(self.pending)
 
     @property
     def resident_kv(self) -> int:
-        if not self.active:
+        engine = self.engine
+        if not engine.active:
             return 0
-        return self.scheduler.resident_kv_bytes(self.trace, self.active)
+        return engine.scheduler.resident_kv_bytes(engine.trace, engine.active)
 
-    def advance(self, limit: Union[int, float], recorder) -> None:
+    def advance(self, limit: Union[int, float]) -> None:
         """Run this replica until its next iteration boundary would cross ``limit``."""
+        engine = self.engine
         while not self.down:
-            if self.inflight is not None:
-                end_cycle, outcome, effective = self.inflight
-                if end_cycle > limit:
+            if engine.outcome is not None:
+                if engine.end_cycle > limit:
                     return
-                self.inflight = None
-                self._apply_iteration(end_cycle - effective, outcome, effective, recorder)
+                for state in engine.retire() or ():
+                    self._finish(state)
                 continue
-            if not self.active:
+            if not engine.active:
                 if not self.pending:
                     return
                 boundary = min(at for at, _ in self.pending)
                 if boundary >= limit:
                     return
-                if boundary > self.now:
-                    self.now = boundary
-            self._admit_ready()
-            if not self.active:
-                continue
-            scale = self.slow_scale
-            with phase("fleet.iteration", replica=self.index, batch=len(self.active)):
-                if recorder is not None:
-                    with recorder.time_offset(self.now):
-                        outcome, replayed = self.scheduler.iteration_outcome(
-                            self.trace, self.active, duration_scale=scale
-                        )
-                else:
-                    outcome, replayed = self.scheduler.iteration_outcome(
-                        self.trace, self.active, duration_scale=scale
+                engine.now = max(engine.now, boundary)
+            # Admit every dispatch delivered by this boundary.  A failed-over
+            # request re-prefills through the preemption re-admission path:
+            # its KV state died with the crashed replica.
+            now = engine.now
+            ready = [(at, fr) for at, fr in self.pending if at <= now]
+            if ready:
+                ready.sort(key=lambda item: (item[0], item[1].spec.request_id))
+                self.pending = [(at, fr) for at, fr in self.pending if at > now]
+                for _, fr in ready:
+                    if fr.admitted_cycle is None:
+                        fr.admitted_cycle = now
+                    fr.replica = self.index
+                    fr.reprefill_cycles += engine.admit(
+                        fr.spec,
+                        admitted_cycle=fr.admitted_cycle,
+                        steps_done=fr.steps_done,
+                        first_token_cycle=fr.first_token_cycle,
+                        preemptions=fr.failovers,
+                        reload=fr.needs_reprefill,
                     )
-            span = outcome.span_cycles
-            penalties = [state.pending_penalty for state in self.active]
-            effective = span
-            for state, end in zip(self.active, outcome.entry_end_cycles):
-                if state.pending_penalty:
-                    effective = max(effective, end + state.pending_penalty)
-
-            horizon = 1
-            if (
-                replayed
-                and self.compress
-                and not self.pending
-                and span > 0
-                and not any(penalties)
-            ):
-                contexts = [
-                    self.trace.bucketed_context(s.request.context_at(s.steps_done))
-                    for s in self.active
-                ]
-                horizon = epoch_horizon(
-                    [s.request.decode_steps - s.steps_done for s in self.active],
-                    [
-                        context - s.request.context_at(s.steps_done) + 1
-                        for s, context in zip(self.active, contexts)
-                    ],
-                    span,
-                    self.now,
-                    None,
+                    fr.needs_reprefill = False
+                    self.by_id[fr.spec.request_id] = fr
+            # Unlike a single-SoC serve (where an arrival waits for the
+            # boundary), a fleet event must land *between* iterations, so
+            # the barrier caps epochs instead of the next arrival.
+            with phase("fleet.iteration", replica=self.index, batch=len(engine.active)):
+                engine.begin(
+                    hold=bool(self.pending),
+                    next_arrival=None,
+                    barrier=limit,
+                    duration_scale=self.slow_scale,
                 )
-                if horizon > 1 and limit != _INF:
-                    # Unlike a single-SoC serve (where an arrival waits for
-                    # the boundary), a fleet event must land *between*
-                    # iterations: cap the epoch to iterations that end at or
-                    # before the barrier; the crossing remainder runs solo.
-                    horizon = max(1, min(horizon, int((limit - self.now) // span)))
 
-            cache = timing_cache()
-            if replayed:
-                self.memo_hits += horizon
-                lookups = horizon * outcome.cache_lookups
-                cache.credit_hits(lookups)
-                self.cache_hits += lookups
-            else:
-                self.memo_misses += 1
-                self.cache_hits += outcome.cache_hits
-                self.cache_misses += outcome.cache_misses
-
-            if horizon >= 2:
-                self._apply_epoch(outcome, span, horizon, recorder)
-                continue
-            end_cycle = self.now + effective
-            if end_cycle > limit:
-                self.inflight = (end_cycle, outcome, effective)
-                return
-            self._apply_iteration(self.now, outcome, effective, recorder)
-
-    def _admit_ready(self) -> None:
-        ready = [(at, fr) for at, fr in self.pending if at <= self.now]
-        if not ready:
-            return
-        ready.sort(key=lambda item: (item[0], item[1].spec.request_id))
-        self.pending = [(at, fr) for at, fr in self.pending if at > self.now]
-        for _, fr in ready:
-            penalty = 0
-            if fr.needs_reprefill:
-                penalty = self.scheduler.kv_reload_penalty(fr.spec, fr.steps_done, self.trace)
-                fr.reprefill_cycles += penalty
-                fr.needs_reprefill = False
-            if fr.admitted_cycle is None:
-                fr.admitted_cycle = self.now
-            fr.replica = self.index
-            self.active.append(
-                _InFlight(
-                    request=fr.spec,
-                    admitted_cycle=fr.admitted_cycle,
-                    steps_done=fr.steps_done,
-                    first_token_cycle=fr.first_token_cycle,
-                    resident_since=self.now,
-                    pending_penalty=penalty,
-                    preemptions=fr.failovers,
-                )
-            )
-            self.by_id[fr.spec.request_id] = fr
-
-    def _apply_iteration(self, start: int, outcome, effective: int, recorder) -> None:
-        for state, end in zip(self.active, outcome.entry_end_cycles):
-            done_at = start + state.pending_penalty + end
-            state.steps_done += 1
-            state.pending_penalty = 0
-            if state.first_token_cycle is None:
-                state.first_token_cycle = done_at
-            if state.steps_done == state.request.decode_steps:
-                state.finish_cycle = done_at
-        if recorder is not None:
-            recorder.add_span(
-                f"iteration ({len(self.active)} reqs)",
-                process=self._process,
-                track="iterations",
-                start=start,
-                duration=effective,
-                category="iteration",
-                args={"batch": len(self.active), "scale": self.slow_scale},
-            )
-        self.iterations += 1
-        self.serving_cycles += effective
-        self.kernel_count += outcome.kernel_count
-        self.energy_uj += outcome.energy_uj
-        for resource, busy in outcome.resource_busy:
-            self.resource_busy[resource] = self.resource_busy.get(resource, 0) + busy
-        self.now = start + effective
-        self._collect_finished()
-
-    def _apply_epoch(self, outcome, span: int, horizon: int, recorder) -> None:
-        for state, end in zip(self.active, outcome.entry_end_cycles):
-            if state.first_token_cycle is None:
-                state.first_token_cycle = self.now + end
-            state.steps_done += horizon
-            if state.steps_done == state.request.decode_steps:
-                state.finish_cycle = self.now + (horizon - 1) * span + end
-        if recorder is not None:
-            recorder.add_span(
-                f"epoch x{horizon}",
-                process=self._process,
-                track="iterations",
-                start=self.now,
-                duration=horizon * span,
-                category="epoch",
-                args={"batch": len(self.active), "iterations": horizon},
-            )
-        self.iterations += horizon
-        self.epochs += 1
-        self.extrapolated_iterations += horizon
-        self.serving_cycles += horizon * span
-        self.kernel_count += horizon * outcome.kernel_count
-        self.energy_uj = accumulate_energy_scalar(self.energy_uj, outcome.energy_uj, horizon)
-        for resource, busy in outcome.resource_busy:
-            self.resource_busy[resource] = self.resource_busy.get(resource, 0) + horizon * busy
-        self.now += horizon * span
-        self._collect_finished()
-
-    def _collect_finished(self) -> None:
-        finished = [state for state in self.active if state.finish_cycle is not None]
-        if not finished:
-            return
-        for state in finished:
-            fr = self.by_id.pop(state.request.request_id)
-            fr.steps_done = state.steps_done
-            fr.first_token_cycle = state.first_token_cycle
-            fr.finish_cycle = state.finish_cycle
-            fr.terminal_cycle = state.finish_cycle
-            self.completed += 1
-        self.active = [state for state in self.active if state.finish_cycle is None]
+    def _finish(self, state: _InFlight) -> None:
+        fr = self.by_id.pop(state.request.request_id)
+        fr.steps_done = state.steps_done
+        fr.first_token_cycle = state.first_token_cycle
+        fr.finish_cycle = state.finish_cycle
+        fr.terminal_cycle = state.finish_cycle
+        self.completed += 1
 
     def crash(self, at: int) -> List[_FleetRequest]:
         """Take the replica down; return the orphaned requests.
@@ -469,30 +328,29 @@ class _Replica:
         KV residency (``needs_reprefill``), and dispatched-but-unadmitted
         requests are simply returned to the router (no KV to lose).
         """
+        engine = self.engine
         self.crashes += 1
         self.down_depth += 1
-        if self.inflight is not None:
-            self.aborted_iterations += 1
-            self.inflight = None
+        engine.abort()
         orphans: List[_FleetRequest] = []
-        for state in self.active:
+        for state in engine.active:
             fr = self.by_id.pop(state.request.request_id)
             fr.steps_done = state.steps_done
             fr.first_token_cycle = state.first_token_cycle
             fr.needs_reprefill = True
             orphans.append(fr)
-        self.active = []
+        engine.active = []
         for _, fr in self.pending:
             orphans.append(fr)
         self.pending = []
-        self.now = max(self.now, at)
+        engine.now = max(engine.now, at)
         orphans.sort(key=lambda fr: fr.spec.request_id)
         return orphans
 
     def recover(self, at: int) -> None:
         self.down_depth -= 1
         if self.down_depth == 0:
-            self.now = max(self.now, at)
+            self.engine.now = max(self.engine.now, at)
 
     @property
     def _process(self) -> str:
@@ -969,7 +827,7 @@ class _FleetRun:
 
     def _advance_all(self, limit: Union[int, float]) -> None:
         for rep in self.replicas:
-            rep.advance(limit, self.recorder)
+            rep.advance(limit)
 
     # -- Event handlers --------------------------------------------------
 
@@ -1118,7 +976,7 @@ class _FleetRun:
             )
         total_cycles = 0
         for rep in self.replicas:
-            total_cycles = max(total_cycles, rep.now)
+            total_cycles = max(total_cycles, rep.engine.now)
         for request in requests:
             if request.terminal_cycle is not None:
                 total_cycles = max(total_cycles, request.terminal_cycle)
@@ -1152,19 +1010,20 @@ class _FleetRun:
         metrics.gauge("fleet.availability").set(availability)
         for rep in self.replicas:
             metrics.counter(f"fleet.replica{rep.index}.completed").inc(rep.completed)
-            metrics.counter(f"fleet.replica{rep.index}.iterations").inc(rep.iterations)
+            metrics.counter(f"fleet.replica{rep.index}.iterations").inc(rep.engine.iterations)
 
+        engines = [rep.engine for rep in self.replicas]
         reports = [
             ReplicaReport(
                 index=rep.index,
                 design=rep.design_name,
-                iterations=rep.iterations,
-                epochs=rep.epochs,
-                aborted_iterations=rep.aborted_iterations,
-                serving_cycles=rep.serving_cycles,
-                kernel_count=rep.kernel_count,
-                energy_uj=rep.energy_uj,
-                resource_busy=dict(rep.resource_busy),
+                iterations=engine.iterations,
+                epochs=engine.epoch_stats["epochs"],
+                aborted_iterations=engine.aborted_iterations,
+                serving_cycles=engine.serving_cycles,
+                kernel_count=engine.kernel_count,
+                energy_uj=engine.energy_uj,
+                resource_busy=dict(engine.resource_busy),
                 dispatched=rep.dispatched,
                 completed=rep.completed,
                 crashes=rep.crashes,
@@ -1172,25 +1031,20 @@ class _FleetRun:
                 partitions=rep.partitions,
                 unreachable_cycles=unreachable[rep.index],
             )
-            for rep in self.replicas
+            for rep, engine in zip(self.replicas, engines)
         ]
         perf = {
             "iteration_memo": {
-                "hits": sum(rep.memo_hits for rep in self.replicas),
-                "misses": sum(rep.memo_misses for rep in self.replicas),
+                key: sum(engine.memo_stats[key] for engine in engines)
+                for key in ("hits", "misses")
             },
             "timing_cache": {
-                "hits": sum(rep.cache_hits for rep in self.replicas),
-                "misses": sum(rep.cache_misses for rep in self.replicas),
+                key: sum(engine.cache_stats[key] for engine in engines)
+                for key in ("hits", "misses")
             },
             "epochs": {
-                "epochs": sum(rep.epochs for rep in self.replicas),
-                "extrapolated_iterations": sum(
-                    rep.extrapolated_iterations for rep in self.replicas
-                ),
-                "executed_iterations": sum(
-                    rep.iterations - rep.extrapolated_iterations for rep in self.replicas
-                ),
+                key: sum(engine.epoch_stats[key] for engine in engines)
+                for key in ("epochs", "extrapolated_iterations", "executed_iterations")
             },
         }
         return FleetRunResult(

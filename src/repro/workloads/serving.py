@@ -60,6 +60,7 @@ queueing delay, goodput and per-unit occupancy under load.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -476,19 +477,13 @@ def _episode_run_length(
 
 def _serving_metrics(
     requests: List[RequestResult],
-    iterations: Sequence[IterationRecord],
-    total_cycles: int,
-    serving_cycles: int,
-    kernel_count: int,
-    resource_busy: Dict[str, int],
-    cache_stats: Dict[str, int],
-    memo_stats: Dict[str, int],
-    control_active: bool = False,
-    goodput: Optional[float] = None,
-    dispositions: Optional[Dict[str, int]] = None,
-    preemption_count: int = 0,
-    epoch_stats: Optional[Dict[str, object]] = None,
-    queue_waits: Optional[Tuple[int, List[int]]] = None,
+    iterations: IterationTimeline,
+    engine: ReplicaEngine,
+    control_active: bool,
+    goodput: Optional[float],
+    dispositions: Dict[str, int],
+    preemption_count: int,
+    queue_waits: Tuple[int, List[int]],
 ) -> MetricsRegistry:
     """The unified metrics registry for one serving run.
 
@@ -501,64 +496,437 @@ def _serving_metrics(
     metrics = MetricsRegistry()
     metrics.counter("serving.requests").inc(len(requests))
     metrics.counter("serving.iterations").inc(len(iterations))
-    timeline = iterations if isinstance(iterations, IterationTimeline) else None
-    metrics.counter("serving.decode_steps").inc(
-        timeline.decode_steps
-        if timeline is not None
-        else sum(record.batch for record in iterations)
-    )
-    metrics.counter("serving.kernels").inc(kernel_count)
-    metrics.gauge("serving.makespan_cycles").set(total_cycles)
-    metrics.gauge("serving.serving_cycles").set(serving_cycles)
+    metrics.counter("serving.decode_steps").inc(iterations.decode_steps)
+    metrics.counter("serving.kernels").inc(engine.kernel_count)
+    metrics.gauge("serving.makespan_cycles").set(engine.now)
+    metrics.gauge("serving.serving_cycles").set(engine.serving_cycles)
     # Histogram snapshots are order-insensitive (count/total/min/max), so
     # bulk observation over compressed segments reproduces the per-record
     # loop's snapshot exactly without expanding extrapolated runs.
     batch = metrics.histogram("serving.batch")
-    if timeline is not None:
-        for value, count in timeline.batch_observations():
-            batch.observe_many(value, count)
-    else:
-        for record in iterations:
-            batch.observe(record.batch)
+    for value, count in iterations.batch_observations():
+        batch.observe_many(value, count)
+    # Queue waits come precomputed from the scheduler's result merge: a bulk
+    # count of known-zero waits (episode-replayed requests are admitted on
+    # arrival) plus the individually tracked waits.
     queueing = metrics.histogram("serving.queue_wait_cycles")
-    if queue_waits is not None:
-        # Precomputed during the scheduler's result merge: a bulk count of
-        # known-zero waits (episode-replayed requests are admitted on
-        # arrival) plus the individually tracked waits.  Snapshot-identical
-        # to the per-request loop because histograms are order-insensitive.
-        zero_count, waits = queue_waits
-        queueing.observe_many(0, zero_count)
-        for wait in waits:
-            queueing.observe(wait)
-    else:
-        for request in requests:
-            admitted = request.admitted_cycle
-            if admitted is not None:
-                queueing.observe(admitted - request.arrival_cycle)
+    zero_count, waits = queue_waits
+    queueing.observe_many(0, zero_count)
+    for wait in waits:
+        queueing.observe(wait)
     if control_active:
-        metrics.gauge("serving.goodput").set(goodput if goodput is not None else 0.0)
+        metrics.gauge("serving.goodput").set(goodput)
         for disposition in DISPOSITIONS:
             metrics.counter(f"serving.dispositions.{disposition}").inc(
-                (dispositions or {}).get(disposition, 0)
+                dispositions[disposition]
             )
         metrics.counter("serving.preemptions").inc(preemption_count)
-    for resource, busy in sorted(resource_busy.items()):
+    for resource, busy in sorted(engine.resource_busy.items()):
         metrics.counter(f"unit.busy_cycles.{resource}").inc(busy)
-    occupancy = occupancy_percent(resource_busy, serving_cycles)
+    occupancy = occupancy_percent(engine.resource_busy, engine.serving_cycles)
     for resource, percent in occupancy.items():
         metrics.gauge(f"unit.occupancy_percent.{resource}").set(percent)
+    memo_stats, cache_stats, epoch_stats = (
+        engine.memo_stats, engine.cache_stats, engine.epoch_stats
+    )
     metrics.counter("iteration_memo.hits", diagnostic=True).inc(memo_stats["hits"])
     metrics.counter("iteration_memo.misses", diagnostic=True).inc(memo_stats["misses"])
     metrics.counter("timing_cache.hits", diagnostic=True).inc(cache_stats["hits"])
     metrics.counter("timing_cache.misses", diagnostic=True).inc(cache_stats["misses"])
-    if epoch_stats is not None:
-        metrics.counter("epoch.runs", diagnostic=True).inc(
-            int(epoch_stats["epochs"]) + int(epoch_stats["episode_runs"])
-        )
-        metrics.counter("epoch.extrapolated_iterations", diagnostic=True).inc(
-            int(epoch_stats["extrapolated_iterations"])
-        )
+    metrics.counter("epoch.runs", diagnostic=True).inc(
+        epoch_stats["epochs"] + epoch_stats["episode_runs"]
+    )
+    metrics.counter("epoch.extrapolated_iterations", diagnostic=True).inc(
+        epoch_stats["extrapolated_iterations"]
+    )
     return metrics
+
+
+class ReplicaEngine:
+    """One replica's in-flight batch, clock and continuous-batching step.
+
+    The engine owns the batch (``active``), the replica clock (``now``) and
+    the run's accounting: span, kernel, energy and busy totals, iteration
+    memo and timing-cache activity, and the epoch diagnostics.  A step is
+    two calls.  :meth:`begin` packs the batch onto units, then either
+    replays the composition's memoized outcome or merges and executes it,
+    and sizes the step: one iteration, or on a memo hit a whole epoch up to
+    the first transient.  :meth:`retire` applies the step to the batch and
+    the totals and emits its trace spans.
+
+    :meth:`ServingScheduler.run` retires every step as soon as it begins.
+    A fleet replica may hold a begun iteration in flight across a fleet
+    event and :meth:`abort` it when the replica crashes, which is why
+    spans are only emitted at retirement.
+    """
+
+    def __init__(
+        self,
+        scheduler: ServingScheduler,
+        trace: ServingTrace,
+        *,
+        compress: bool,
+        label: str,
+        process: str = SCHEDULER_PROCESS,
+        injector: Optional[FaultInjector] = None,
+        timeline: Optional[IterationTimeline] = None,
+    ) -> None:
+        self.scheduler = scheduler
+        self.trace = trace
+        #: Prefix of merged-schedule labels; ``process`` names the trace
+        #: process that carries the iteration spans.
+        self.label = label
+        self.process = process
+        #: Seeded per-iteration spikes and stalls (single-SoC serve only).
+        self.injector = injector
+        #: Per-iteration records, kept only when the caller reports them.
+        self.timeline = timeline
+        self.cache = timing_cache()
+        self.memo = _iteration_memo() if scheduler.iteration_memo else None
+        # Epochs ride on the iteration memo (an epoch is a proven run of
+        # memo hits), so they degrade to exact stepping without it.
+        self.compress = compress and self.memo is not None
+        self.recorder = trace_recorder()
+        self.now = 0
+        self.active: List[_InFlight] = []
+        self.iterations = 0
+        self.aborted_iterations = 0
+        self.serving_cycles = 0
+        self.kernel_count = 0
+        self.energy_uj = 0.0
+        self.resource_busy: Dict[str, int] = {}
+        self.memo_stats = {"hits": 0, "misses": 0}
+        self.cache_stats = {"hits": 0, "misses": 0}
+        self.epoch_stats = fresh_epoch_stats(self.compress)
+        # Iteration-relative kernel span shapes captured at memo-miss time,
+        # keyed like the memo itself.  The merged placement is a pure
+        # function of the composition, so a memo hit replays the captured
+        # shape at the new iteration start.  Compositions warmed before
+        # tracing started have no shape and get synthesized per-unit spans.
+        self.span_shapes: Dict[tuple, CapturedSpans] = {}
+        # The begun, not yet retired step.
+        self.outcome: Optional[_IterationOutcome] = None
+        self.key: Optional[tuple] = None
+        self.horizon = 1
+        self.stall = 0
+        self.step_cycles = 0
+        self._memo_state = "off"
+        self._shape: Optional[CapturedSpans] = None
+
+    @property
+    def end_cycle(self) -> int:
+        """Cycle at which the begun step ends."""
+        return self.now + self.step_cycles
+
+    def admit(
+        self,
+        request: RequestSpec,
+        *,
+        admitted_cycle: Optional[int] = None,
+        steps_done: int = 0,
+        first_token_cycle: Optional[int] = None,
+        preemptions: int = 0,
+        reload: bool = False,
+    ) -> int:
+        """Add ``request`` to the batch at ``now``; returns its KV reload penalty.
+
+        ``reload`` marks a request whose KV state left HBM -- evicted by a
+        preemption, or lost with a crashed replica -- so its next step first
+        streams the state back in (:meth:`ServingScheduler.kv_reload_penalty`).
+        """
+        penalty = (
+            self.scheduler.kv_reload_penalty(request, steps_done, self.trace) if reload else 0
+        )
+        self.active.append(
+            _InFlight(
+                request=request,
+                admitted_cycle=self.now if admitted_cycle is None else admitted_cycle,
+                steps_done=steps_done,
+                first_token_cycle=first_token_cycle,
+                resident_since=self.now,
+                pending_penalty=penalty,
+                preemptions=preemptions,
+            )
+        )
+        return penalty
+
+    def begin(
+        self,
+        *,
+        hold: bool,
+        next_arrival: Optional[int],
+        barrier: float = math.inf,
+        duration_scale: float = 1.0,
+    ) -> None:
+        """Start the batch's next step at ``now``.
+
+        ``hold`` (requests wait to join) rules out an epoch, ``next_arrival``
+        ends one at the boundary the arrival joins, and ``barrier`` caps it
+        to iterations that end by then: a fleet event must land between
+        iterations.  A spiked or slowed step (``duration_scale != 1``)
+        bypasses the memo in both directions -- a clean replay would dodge
+        the fault, and the scaled outcome must not leak into clean steps --
+        so memo on/off runs stay byte-identical under faults.
+        """
+        scheduler = self.scheduler
+        trace = self.trace
+        active = self.active
+        now = self.now
+        index = self.iterations
+        injector = self.injector
+        stall = 0
+        if injector is not None:
+            spike = injector.iteration_spike(index)
+            if spike is not None:
+                duration_scale = spike
+            stall = injector.iteration_stall(index)
+        contexts = [
+            trace.bucketed_context(state.request.context_at(state.steps_done))
+            for state in active
+        ]
+        units = scheduler.iteration_units(active, contexts)
+        penalties = [state.pending_penalty for state in active]
+        # Iteration memoization: KV bucketing makes batch compositions
+        # repeat within (and across) runs, and the merged schedule is a pure
+        # function of the composition -- so a repeated composition replays
+        # the recorded outcome instead of re-merging and re-scheduling.
+        # Disabled alongside the timing cache: the cold path must measure
+        # real work.
+        memo = self.memo if duration_scale == 1.0 and self.cache.enabled else None
+        key = scheduler._memo_key(contexts, active, units, penalties) if memo is not None else None
+        outcome = memo.get(key) if memo is not None else None
+        recorder = self.recorder
+        horizon = 1
+        if outcome is None:
+            label = f"{self.label}:{trace.name}#{index}"
+            with phase("serving.iteration", index=index, batch=len(active)):
+                marker = recorder.mark() if recorder is not None else None
+                with recorder.time_offset(now) if recorder is not None else nullcontext():
+                    outcome = scheduler._execute_iteration(
+                        active, contexts, units, label, duration_scale
+                    )
+                if marker is not None:
+                    # Kernel spans are held back until the step retires.
+                    self._shape = recorder.take(marker, base=now)
+                    if key is not None:
+                        self.span_shapes[key] = self._shape
+            if memo is not None:
+                memo[key] = outcome
+                self._memo_state = "miss"
+            else:
+                self._memo_state = "off"
+            self.memo_stats["misses"] += 1
+            self.cache_stats["hits"] += outcome.cache_hits
+            self.cache_stats["misses"] += outcome.cache_misses
+        else:
+            # Epoch extrapolation: on a memo hit with nobody waiting, no
+            # pending penalties and no stall, the composition provably
+            # recurs until the first transient (soonest finish, KV-bucket
+            # crossing, next arrival, injected fault or fleet barrier), and
+            # every per-iteration quantity is constant -- so the whole run
+            # is one arithmetic step, mirroring execute_flash_loop's KV-tile
+            # extrapolation one level down.
+            span = outcome.span_cycles
+            if self.compress and stall == 0 and not hold and span > 0 and not any(penalties):
+                horizon = epoch_horizon(
+                    [s.request.decode_steps - s.steps_done for s in active],
+                    [
+                        context - s.request.context_at(s.steps_done) + 1
+                        for s, context in zip(active, contexts)
+                    ],
+                    span,
+                    now,
+                    next_arrival,
+                )
+                if horizon > 1 and injector is not None:
+                    horizon = 1 + clean_fault_run(injector, index + 1, horizon - 1)
+                if horizon > 1 and barrier != math.inf:
+                    horizon = max(1, min(horizon, int((barrier - now) // span)))
+            self.memo_stats["hits"] += horizon
+            # Replaying the outcome skips the per-kernel cache probes the
+            # execution would have performed (all hits on a warm cache);
+            # credit them so memoized and executing runs report the same
+            # lookup totals.
+            lookups = horizon * outcome.cache_lookups
+            self.cache.credit_hits(lookups)
+            self.cache_stats["hits"] += lookups
+            self._memo_state = "replay"
+            if recorder is not None:
+                self._shape = self.span_shapes.get(key)
+        self.outcome = outcome
+        self.key = key
+        self.horizon = horizon
+        self.stall = stall
+        if horizon > 1:
+            self.step_cycles = horizon * outcome.span_cycles
+        else:
+            # The iteration's effective span: the merged schedule's makespan,
+            # stretched by any re-admission penalty serialized in front of a
+            # request's step, plus an injected stall.
+            effective = outcome.span_cycles
+            for state, end in zip(active, outcome.entry_end_cycles):
+                if state.pending_penalty:
+                    effective = max(effective, end + state.pending_penalty)
+            self.step_cycles = effective + stall
+
+    def abort(self) -> None:
+        """Discard the begun step (a crash): no state, totals or spans change."""
+        if self.outcome is not None:
+            self.aborted_iterations += 1
+            self.outcome = None
+            self._shape = None
+
+    def retire(self) -> Optional[List[_InFlight]]:
+        """Apply the begun step; returns the requests it finished, if any.
+
+        An epoch advances every quantity by exact multiples -- energy
+        replays the identical sequential float sum (accumulate_energy) --
+        so it is byte-identical to retiring its iterations one by one.
+        """
+        outcome = self.outcome
+        horizon = self.horizon
+        active = self.active
+        now = self.now
+        index = self.iterations
+        recorder = self.recorder
+        finished: Optional[List[_InFlight]] = None
+        if horizon > 1:
+            span = outcome.span_cycles
+            for state, end in zip(active, outcome.entry_end_cycles):
+                if state.first_token_cycle is None:
+                    state.first_token_cycle = now + end
+                state.steps_done += horizon
+                if state.steps_done == state.request.decode_steps:
+                    state.finish_cycle = now + (horizon - 1) * span + end
+                    if finished is None:
+                        finished = []
+                    finished.append(state)
+            if recorder is not None:
+                recorder.add_span(
+                    f"epoch x{horizon}",
+                    process=self.process,
+                    track="iterations",
+                    start=now,
+                    duration=horizon * span,
+                    category="epoch",
+                    args={
+                        "batch": len(active),
+                        "requests": [s.request.request_id for s in active],
+                        "iterations": horizon,
+                        "span_cycles": span,
+                        "memo": "extrapolated",
+                        "kernels": horizon * outcome.kernel_count,
+                    },
+                )
+                self._unit_spans("epoch (extrapolated)", outcome, horizon)
+            if self.timeline is not None:
+                self.timeline.append(
+                    EpochRecord(
+                        index=index,
+                        start_cycle=now,
+                        span_cycles=span,
+                        count=horizon,
+                        request_ids=[s.request.request_id for s in active],
+                    )
+                )
+            self.energy_uj = accumulate_energy_scalar(self.energy_uj, outcome.energy_uj, horizon)
+            self.epoch_stats["epochs"] += 1
+            self.epoch_stats["extrapolated_iterations"] += horizon
+        else:
+            effective = self.step_cycles
+            if recorder is not None:
+                if self._shape is not None:
+                    recorder.replay(self._shape, base=now)
+                elif self._memo_state == "replay":
+                    self._unit_spans("epoch (memoized)", outcome, 1)
+            for state, end in zip(active, outcome.entry_end_cycles):
+                done_at = now + state.pending_penalty + end
+                if recorder is not None:
+                    recorder.add_span(
+                        f"step {state.steps_done}",
+                        process=REQUESTS_PROCESS,
+                        track=state.request.request_id,
+                        start=now,
+                        duration=state.pending_penalty + end,
+                        category="decode_step",
+                        args={"iteration": index},
+                    )
+                state.steps_done += 1
+                state.pending_penalty = 0
+                if state.first_token_cycle is None:
+                    state.first_token_cycle = done_at
+                if state.steps_done == state.request.decode_steps:
+                    state.finish_cycle = done_at
+                    if finished is None:
+                        finished = []
+                    finished.append(state)
+            if recorder is not None:
+                recorder.add_span(
+                    f"iteration {index}",
+                    process=self.process,
+                    track="iterations",
+                    start=now,
+                    duration=effective,
+                    category="iteration",
+                    args={
+                        "batch": len(active),
+                        "requests": [state.request.request_id for state in active],
+                        "memo": self._memo_state,
+                        "kernels": outcome.kernel_count,
+                    },
+                )
+                if self.stall:
+                    recorder.add_span(
+                        "stall (fault)",
+                        process=self.process,
+                        track="iterations",
+                        start=now + effective - self.stall,
+                        duration=self.stall,
+                        category="fault",
+                        args={"iteration": index},
+                    )
+            if self.timeline is not None:
+                self.timeline.append(
+                    IterationRecord(
+                        index=index,
+                        start_cycle=now,
+                        span_cycles=effective,
+                        batch=len(active),
+                        request_ids=[state.request.request_id for state in active],
+                    )
+                )
+            self.energy_uj += outcome.energy_uj
+            self.epoch_stats["executed_iterations"] += 1
+        self.iterations += horizon
+        self.serving_cycles += self.step_cycles
+        self.kernel_count += horizon * outcome.kernel_count
+        busy_totals = self.resource_busy
+        for resource, busy in outcome.resource_busy:
+            busy_totals[resource] = busy_totals.get(resource, 0) + horizon * busy
+        self.now = now + self.step_cycles
+        self.outcome = None
+        self._shape = None
+        if finished is not None:
+            self.active = [state for state in active if state.finish_cycle is None]
+        return finished
+
+    def _unit_spans(self, name: str, outcome: _IterationOutcome, count: int) -> None:
+        """One span per busy unit covering ``count`` replayed iterations.
+
+        The span covers the iterations' whole span; its ``busy_cycles`` arg
+        carries the unit's true busy time, which is what trace summaries
+        count.
+        """
+        for resource, busy in outcome.resource_busy:
+            self.recorder.add_span(
+                name,
+                process=UNITS_PROCESS,
+                track=resource,
+                start=self.now,
+                duration=count * outcome.span_cycles,
+                category="epoch",
+                args={"busy_cycles": count * busy, "kernels": count * outcome.kernel_count},
+            )
 
 
 class ServingScheduler:
@@ -608,12 +976,7 @@ class ServingScheduler:
             small_mpc = max(1, small_unit_config(self.design.matrix_unit).macs_per_cycle)
             self._unit_stride = max(2, round(large_mpc / small_mpc) + 1)
 
-    def iteration_units(
-        self,
-        trace: ServingTrace,
-        active: List[_InFlight],
-        contexts: Optional[List[int]] = None,
-    ) -> List[str]:
+    def iteration_units(self, active: List[_InFlight], contexts: List[int]) -> List[str]:
         """Per-iteration matrix-unit assignment for the active batch.
 
         The small unit receives requests first-fit-decreasing under a work
@@ -632,14 +995,8 @@ class ServingScheduler:
         context) composition, so when that composition matches the previous
         iteration's exactly -- no arrival, retirement or bucket crossing --
         the previous assignment is reused instead of re-running the repack.
-        ``contexts`` optionally supplies the per-request bucketed contexts
-        the caller already computed.
+        ``contexts`` holds the batch's per-request bucketed contexts.
         """
-        if contexts is None:
-            contexts = [
-                trace.bucketed_context(state.request.context_at(state.steps_done))
-                for state in active
-            ]
         units = [MATRIX_RESOURCE] * len(active)
         if not self._unit_stride or len(active) < 2:
             return units
@@ -767,12 +1124,11 @@ class ServingScheduler:
 
     def _execute_iteration(
         self,
-        trace: ServingTrace,
         active: List[_InFlight],
         contexts: List[int],
         units: List[str],
         label: str,
-        duration_scale: float = 1.0,
+        duration_scale: float,
     ) -> _IterationOutcome:
         """Merge, schedule and execute one iteration's batch for real."""
         with phase("merge", batch=len(active)):
@@ -800,23 +1156,13 @@ class ServingScheduler:
             cache_misses=result.timing_cache.get("misses", 0),
         )
 
-    def _readmission_penalty(self, entry: _Queued, ctx: PolicyContext) -> int:
-        """KV re-read cost of re-admitting a preempted request, in cycles.
-
-        Eviction drops the request's KV state from HBM residency; coming
-        back, the state streams in again over the DRAM channel -- capacity
-        bytes over channel bandwidth, plus the channel latency.
-        """
-        return self.kv_reload_penalty(entry.request, entry.steps_done, ctx.trace)
-
     # -- External-driver hooks -------------------------------------------
     #
-    # The fleet router (repro.workloads.fleet) steps replicas incrementally
-    # between fleet events instead of calling :meth:`run` once per trace.
-    # These hooks expose the scheduler's building blocks -- one iteration's
-    # outcome with memo replay, the KV reload cost a requeued request pays,
-    # and the batch's resident KV footprint -- without touching the main
-    # loop, so single-SoC serve runs stay byte-identical to their goldens.
+    # Both drivers -- :meth:`run` and the fleet router's replicas
+    # (repro.workloads.fleet) -- step a :class:`ReplicaEngine` over this
+    # scheduler.  Beyond the step itself they need the KV reload cost a
+    # re-admitted or failed-over request pays (the engine's admission path)
+    # and the batch's resident KV footprint (router introspection).
 
     def kv_reload_penalty(self, request: RequestSpec, steps_done: int, trace: ServingTrace) -> int:
         """Cycles to stream the request's KV state back into HBM residency.
@@ -841,48 +1187,6 @@ class ServingScheduler:
             )
             for state in active
         )
-
-    def iteration_outcome(
-        self,
-        trace: ServingTrace,
-        active: List[_InFlight],
-        duration_scale: float = 1.0,
-    ) -> Tuple[_IterationOutcome, bool]:
-        """One continuous-batching iteration for an external driver.
-
-        Computes the batch's contexts, unit packing and pending penalties,
-        consults the process-wide iteration memo, and returns ``(outcome,
-        replayed)``.  A scaled iteration (``duration_scale != 1`` -- the
-        slowdown-fault path) bypasses the memo in *both* directions, the
-        same no-cache-poisoning rule spiked iterations follow in
-        :meth:`run`.  The caller owns stat bookkeeping: on replay it should
-        credit ``outcome.cache_lookups`` back to the timing cache (times the
-        number of extrapolated repeats) so memoized and executing runs
-        report the same lookup totals.
-        """
-        contexts = [
-            trace.bucketed_context(state.request.context_at(state.steps_done))
-            for state in active
-        ]
-        units = self.iteration_units(trace, active, contexts)
-        penalties = [state.pending_penalty for state in active]
-        memo = (
-            _iteration_memo()
-            if self.iteration_memo and timing_cache().enabled and duration_scale == 1.0
-            else None
-        )
-        key = self._memo_key(contexts, active, units, penalties) if memo is not None else None
-        outcome = memo.get(key) if memo is not None else None
-        if outcome is not None:
-            return outcome, True
-        label = f"fleet:{trace.name}"
-        with phase("serving.iteration", batch=len(active)):
-            outcome = self._execute_iteration(
-                trace, active, contexts, units, label=label, duration_scale=duration_scale
-            )
-        if memo is not None:
-            memo[key] = outcome
-        return outcome, False
 
     def run(
         self,
@@ -913,32 +1217,27 @@ class ServingScheduler:
         pend_i = 0
         n_pending = len(pending)
         queued: List[_Queued] = []
-        active: List[_InFlight] = []
         finished: Dict[str, _InFlight] = {}
         terminated: Dict[str, Tuple[_Queued, str, int]] = {}
         preemption_count = 0
 
-        now = 0
-        serving_cycles = 0
-        kernel_count = 0
-        energy_uj = 0.0
-        resource_busy: Dict[str, int] = {}
-        cache = timing_cache()
-        cache_stats = {"hits": 0, "misses": 0}
-        memo_stats = {"hits": 0, "misses": 0}
-        memo_table = _iteration_memo() if self.iteration_memo else None
         iterations = IterationTimeline()
-        recorder = trace_recorder()
+        engine = ReplicaEngine(
+            self,
+            trace,
+            compress=self.epoch_compression,
+            label="serve",
+            injector=injector,
+            timeline=iterations,
+        )
+        cache = engine.cache
+        recorder = engine.recorder
+        epoch_stats = engine.epoch_stats
 
-        # Epoch compression rides on top of the iteration memo (an epoch is
-        # a proven run of memo hits), so it degrades to exact simulation
-        # whenever the memo is off or the cache disabled.  Episode replay
-        # additionally requires no fault injector: faults are drawn per
+        # Episode replay requires no fault injector: faults are drawn per
         # iteration *index*, so epochs can probe ahead for a clean run
         # (clean_fault_run) but whole-request replay cannot skip the draw.
-        compress = self.epoch_compression and memo_table is not None
-        epoch_stats = fresh_epoch_stats(compress)
-        episodes = _episode_templates() if compress and injector is None else None
+        episodes = _episode_templates() if engine.compress and injector is None else None
         # Episode-template learning state: while exactly one request serves
         # alone from its arrival boundary, record its (outcome, run length)
         # segment stream; any deviation -- a second request, a fault, a
@@ -990,16 +1289,9 @@ class ServingScheduler:
                 )
             learn_key = None
             learn_segments.clear()
-        # Iteration-relative kernel span shapes captured at memo-miss time,
-        # keyed like the memo itself.  The merged placement is a pure
-        # function of the composition, so a memo hit replays the captured
-        # shape shifted to the new iteration start -- the placement the memo
-        # skipped rebuilding.  Compositions warmed before tracing started
-        # have no shape to replay and fall back to synthesized per-unit
-        # epoch spans.
-        span_shapes: Dict[tuple, CapturedSpans] = {}
 
-        while pend_i < n_pending or queued or active:
+        while pend_i < n_pending or queued or engine.active:
+            now = engine.now
             # Episode fast path: the system is idle with no backlog and the
             # next arrival's whole solo service is already templated --
             # replay entire requests in closed form, vectorized over the
@@ -1009,7 +1301,7 @@ class ServingScheduler:
             if (
                 episodes is not None
                 and cache.enabled
-                and not active
+                and not engine.active
                 and not queued
                 and pend_i < n_pending
                 and pending[pend_i].arrival_cycle >= now
@@ -1050,20 +1342,22 @@ class ServingScheduler:
                         )
                         episode_meta.append((pend_i, count, template))
                         replay_iters = count * template.total_iterations
-                        memo_stats["hits"] += replay_iters
+                        engine.iterations += replay_iters
+                        engine.memo_stats["hits"] += replay_iters
                         lookups = count * template.total_lookups
                         cache.credit_hits(lookups)
-                        cache_stats["hits"] += lookups
-                        kernel_count += count * template.total_kernels
-                        serving_cycles += count * template.total_span
+                        engine.cache_stats["hits"] += lookups
+                        engine.kernel_count += count * template.total_kernels
+                        engine.serving_cycles += count * template.total_span
+                        busy_totals = engine.resource_busy
                         for resource, busy in template.busy_totals:
-                            resource_busy[resource] = (
-                                resource_busy.get(resource, 0) + count * busy
+                            busy_totals[resource] = (
+                                busy_totals.get(resource, 0) + count * busy
                             )
-                        energy_uj = accumulate_energy(
-                            energy_uj, template.energy_pattern, count
+                        engine.energy_uj = accumulate_energy(
+                            engine.energy_uj, template.energy_pattern, count
                         )
-                        now = int(run_arrivals[-1]) + template.total_span
+                        engine.now = now = int(run_arrivals[-1]) + template.total_span
                         epoch_stats["episode_runs"] += 1
                         epoch_stats["extrapolated_iterations"] += replay_iters
                         epoch_stats["extrapolated_requests"] += count
@@ -1109,6 +1403,7 @@ class ServingScheduler:
             # priorities, admit under the iteration budget.  The default
             # FCFS policy sheds nothing, evicts nothing and admits the whole
             # queue, reproducing the historical loop exactly.
+            active = engine.active
             for entry in self.policy.shed(queued, now, ctx):
                 queued.remove(entry)
                 disposition = "timed_out" if entry.preempted else "shed"
@@ -1141,8 +1436,13 @@ class ServingScheduler:
                     ]
                 for entry in admitted:
                     queued.remove(entry)
-                    penalty = (
-                        self._readmission_penalty(entry, ctx) if entry.preempted else 0
+                    penalty = engine.admit(
+                        entry.request,
+                        admitted_cycle=entry.admitted_cycle,
+                        steps_done=entry.steps_done,
+                        first_token_cycle=entry.first_token_cycle,
+                        preemptions=entry.preemptions,
+                        reload=entry.preempted,
                     )
                     if recorder is not None and entry.evicted_cycle is not None:
                         recorder.add_span(
@@ -1154,161 +1454,35 @@ class ServingScheduler:
                             category="preempted",
                             args={"readmission_penalty_cycles": penalty},
                         )
-                    active.append(
-                        _InFlight(
-                            request=entry.request,
-                            admitted_cycle=(
-                                entry.admitted_cycle
-                                if entry.admitted_cycle is not None
-                                else now
-                            ),
-                            steps_done=entry.steps_done,
-                            first_token_cycle=entry.first_token_cycle,
-                            resident_since=now,
-                            pending_penalty=penalty,
-                            preemptions=entry.preemptions,
-                        )
-                    )
             if not active:
                 if pend_i < n_pending:
-                    now = pending[pend_i].arrival_cycle
+                    engine.now = pending[pend_i].arrival_cycle
                 continue
 
-            contexts = [
-                trace.bucketed_context(state.request.context_at(state.steps_done))
-                for state in active
-            ]
-            units = self.iteration_units(trace, active, contexts)
-            penalties = [state.pending_penalty for state in active]
-
-            # Fault injection: a spiked iteration executes with scaled kernel
-            # durations and bypasses the memo in both directions -- no read
-            # (a clean replay would dodge the spike) and no write (the
-            # poisoned outcome must not leak into clean iterations) -- so
-            # memo on/off runs stay byte-identical under faults.
-            index = len(iterations)
-            spike = injector.iteration_spike(index) if injector is not None else None
-            stall = injector.iteration_stall(index) if injector is not None else 0
-
-            # Iteration memoization: KV bucketing makes batch compositions
-            # repeat within (and across) runs, and the merged schedule is a
-            # pure function of the composition -- so a repeated composition
-            # replays the recorded outcome instead of re-merging and
-            # re-scheduling.  Disabled alongside the timing cache: the cold
-            # path must measure real work.
-            memo = memo_table if cache.enabled and spike is None else None
-            key = (
-                self._memo_key(contexts, active, units, penalties)
-                if memo is not None
-                else None
+            engine.begin(
+                hold=bool(queued),
+                next_arrival=pending[pend_i].arrival_cycle if pend_i < n_pending else None,
             )
-            outcome = memo.get(key) if memo is not None else None
-            replayed = outcome is not None
-            if outcome is None:
-                label = f"serve:{trace.name}#{index}"
-                with phase("serving.iteration", index=index, batch=len(active)):
-                    if recorder is not None:
-                        marker = recorder.mark()
-                        with recorder.time_offset(now):
-                            outcome = self._execute_iteration(
-                                trace, active, contexts, units, label=label,
-                                duration_scale=spike if spike is not None else 1.0,
-                            )
-                        if key is not None:
-                            span_shapes[key] = recorder.capture(marker, base=now)
-                    else:
-                        outcome = self._execute_iteration(
-                            trace, active, contexts, units, label=label,
-                            duration_scale=spike if spike is not None else 1.0,
-                        )
-                if memo is not None:
-                    memo[key] = outcome
-                memo_stats["misses"] += 1
-                cache_stats["hits"] += outcome.cache_hits
-                cache_stats["misses"] += outcome.cache_misses
-                horizon = 1
-            else:
-                # Epoch extrapolation: on a memo hit with an empty queue, no
-                # pending penalties and no stall, the composition provably
-                # recurs -- the control plane is a no-op at every boundary
-                # until the first transient (soonest finish, KV-bucket
-                # crossing, next arrival, or injected fault), and every
-                # per-iteration quantity is constant.  The horizon is the
-                # exact count of such iterations; covering them in one
-                # arithmetic step is what turns steady traffic into O(1)
-                # epochs, mirroring execute_flash_loop's KV-tile
-                # extrapolation one level down.
-                horizon = 1
-                span = outcome.span_cycles
-                if (
-                    compress
-                    and stall == 0
-                    and not queued
-                    and span > 0
-                    and not any(penalties)
-                ):
-                    horizon = epoch_horizon(
-                        [s.request.decode_steps - s.steps_done for s in active],
-                        [
-                            context - s.request.context_at(s.steps_done) + 1
-                            for s, context in zip(active, contexts)
-                        ],
-                        span,
-                        now,
-                        pending[pend_i].arrival_cycle if pend_i < n_pending else None,
-                    )
-                    if injector is not None and horizon > 1:
-                        horizon = 1 + clean_fault_run(injector, index + 1, horizon - 1)
-                memo_stats["hits"] += horizon
-                # Replaying the outcome skips the per-kernel cache probes the
-                # execution would have performed (all hits on a warm cache);
-                # credit them so memoized and non-memoized runs report the
-                # same lookup totals.
-                lookups = horizon * outcome.cache_lookups
-                cache.credit_hits(lookups)
-                cache_stats["hits"] += lookups
-                if horizon == 1 and recorder is not None:
-                    shape = span_shapes.get(key)
-                    if shape is not None:
-                        recorder.replay(shape, base=now)
-                    else:
-                        for resource, busy in outcome.resource_busy:
-                            recorder.add_span(
-                                "epoch (memoized)",
-                                process=UNITS_PROCESS,
-                                track=resource,
-                                start=now,
-                                duration=outcome.span_cycles,
-                                category="epoch",
-                                args={
-                                    "busy_cycles": busy,
-                                    "kernels": outcome.kernel_count,
-                                },
-                            )
 
             # Episode-template learning: start on the first iteration of a
             # request serving alone from its arrival boundary, keep
             # recording while the solo run stays undisturbed, abort on any
             # deviation.  Epoch hits record their whole run in one segment.
+            solo = (
+                len(active) == 1
+                and engine.key is not None
+                and engine.stall == 0
+                and not queued
+                and active[0].pending_penalty == 0
+            )
             if learn_key is not None:
-                if (
-                    len(active) == 1
-                    and active[0].request.request_id == learn_rid
-                    and key is not None
-                    and stall == 0
-                    and not queued
-                    and penalties[0] == 0
-                ):
-                    learn_record(outcome, horizon)
+                if solo and active[0].request.request_id == learn_rid:
+                    learn_record(engine.outcome, engine.horizon)
                 else:
                     learn_abort()
             elif (
-                episodes is not None
-                and len(active) == 1
-                and not queued
-                and key is not None
-                and stall == 0
-                and penalties[0] == 0
+                solo
+                and episodes is not None
                 and active[0].steps_done == 0
                 and active[0].admitted_cycle == active[0].request.arrival_cycle
                 and now == active[0].request.arrival_cycle
@@ -1317,154 +1491,16 @@ class ServingScheduler:
                 if candidate not in episodes:
                     learn_key = candidate
                     learn_rid = active[0].request.request_id
-                    learn_record(outcome, horizon)
+                    learn_record(engine.outcome, engine.horizon)
 
-            if horizon >= 2:
-                # Whole-epoch bookkeeping, byte-identical to running the
-                # horizon's iterations one by one: integer quantities
-                # advance by exact multiples, energy replays the identical
-                # sequential float sum (accumulate_energy), and the record
-                # stays compressed in the timeline.
-                for state, end in zip(active, outcome.entry_end_cycles):
-                    if state.first_token_cycle is None:
-                        state.first_token_cycle = now + end
-                    state.steps_done += horizon
-                    if state.steps_done == state.request.decode_steps:
-                        state.finish_cycle = now + (horizon - 1) * span + end
-                        finished[state.request.request_id] = state
-                if learn_key is not None and active[0].finish_cycle is not None:
-                    learn_finalize(active[0])
-                if recorder is not None:
-                    recorder.add_span(
-                        f"epoch x{horizon}",
-                        process=SCHEDULER_PROCESS,
-                        track="iterations",
-                        start=now,
-                        duration=horizon * span,
-                        category="epoch",
-                        args={
-                            "batch": len(active),
-                            "requests": [s.request.request_id for s in active],
-                            "iterations": horizon,
-                            "span_cycles": span,
-                            "memo": "extrapolated",
-                            "kernels": horizon * outcome.kernel_count,
-                        },
-                    )
-                    for resource, busy in outcome.resource_busy:
-                        recorder.add_span(
-                            "epoch (extrapolated)",
-                            process=UNITS_PROCESS,
-                            track=resource,
-                            start=now,
-                            duration=horizon * span,
-                            category="epoch",
-                            args={
-                                "busy_cycles": horizon * busy,
-                                "kernels": horizon * outcome.kernel_count,
-                            },
-                        )
-                iterations.append(
-                    EpochRecord(
-                        index=index,
-                        start_cycle=now,
-                        span_cycles=span,
-                        count=horizon,
-                        request_ids=[s.request.request_id for s in active],
-                    )
-                )
-                serving_cycles += horizon * span
-                kernel_count += horizon * outcome.kernel_count
-                energy_uj = accumulate_energy_scalar(
-                    energy_uj, outcome.energy_uj, horizon
-                )
-                for resource, busy in outcome.resource_busy:
-                    resource_busy[resource] = (
-                        resource_busy.get(resource, 0) + horizon * busy
-                    )
-                epoch_stats["epochs"] += 1
-                epoch_stats["extrapolated_iterations"] += horizon
-                now += horizon * span
-                active = [state for state in active if state.finish_cycle is None]
-                continue
-
-            # The iteration's effective span: the merged schedule's makespan,
-            # stretched by any re-admission penalty serialized in front of a
-            # request's step, plus an injected stall.  All zero on the
-            # default path, where effective == outcome.span_cycles exactly.
-            effective_span = outcome.span_cycles
-            for state, end in zip(active, outcome.entry_end_cycles):
-                if state.pending_penalty:
-                    effective_span = max(effective_span, end + state.pending_penalty)
-            effective_span += stall
-
-            for state, end in zip(active, outcome.entry_end_cycles):
-                done_at = now + state.pending_penalty + end
-                if recorder is not None:
-                    recorder.add_span(
-                        f"step {state.steps_done}",
-                        process=REQUESTS_PROCESS,
-                        track=state.request.request_id,
-                        start=now,
-                        duration=state.pending_penalty + end,
-                        category="decode_step",
-                        args={"iteration": index},
-                    )
-                state.steps_done += 1
-                state.pending_penalty = 0
-                if state.first_token_cycle is None:
-                    state.first_token_cycle = done_at
-                if state.steps_done == state.request.decode_steps:
-                    state.finish_cycle = done_at
+            done = engine.retire()
+            if done is not None:
+                for state in done:
                     finished[state.request.request_id] = state
-            # A surviving recording implies the learner is active[0] (any
-            # batch growth or identity change aborted it above).
-            if learn_key is not None and active[0].finish_cycle is not None:
-                learn_finalize(active[0])
-
-            if recorder is not None:
-                recorder.add_span(
-                    f"iteration {index}",
-                    process=SCHEDULER_PROCESS,
-                    track="iterations",
-                    start=now,
-                    duration=effective_span,
-                    category="iteration",
-                    args={
-                        "batch": len(active),
-                        "requests": [state.request.request_id for state in active],
-                        "memo": "replay" if replayed else ("miss" if memo is not None else "off"),
-                        "kernels": outcome.kernel_count,
-                    },
-                )
-                if stall:
-                    recorder.add_span(
-                        "stall (fault)",
-                        process=SCHEDULER_PROCESS,
-                        track="iterations",
-                        start=now + effective_span - stall,
-                        duration=stall,
-                        category="fault",
-                        args={"iteration": index},
-                    )
-            iterations.append(
-                IterationRecord(
-                    index=index,
-                    start_cycle=now,
-                    span_cycles=effective_span,
-                    batch=len(active),
-                    request_ids=[state.request.request_id for state in active],
-                )
-            )
-            epoch_stats["executed_iterations"] += 1
-            serving_cycles += effective_span
-            kernel_count += outcome.kernel_count
-            energy_uj += outcome.energy_uj
-            for resource, busy in outcome.resource_busy:
-                resource_busy[resource] = resource_busy.get(resource, 0) + busy
-
-            now += effective_span
-            active = [state for state in active if state.finish_cycle is None]
+                # A surviving recording implies the learner is the whole
+                # batch (any growth or identity change aborted it above).
+                if learn_key is not None:
+                    learn_finalize(done[0])
 
         specs = trace.sorted_requests()
         requests: List[RequestResult] = []
@@ -1638,25 +1674,19 @@ class ServingScheduler:
             design=self.design,
             heterogeneous=self.heterogeneous,
             context_bucket=trace.context_bucket,
-            total_cycles=now,
-            serving_cycles=serving_cycles,
+            total_cycles=engine.now,
+            serving_cycles=engine.serving_cycles,
             requests=requests,
             iterations=iterations,
-            kernel_count=kernel_count,
-            energy_uj=energy_uj,
-            resource_busy=resource_busy,
-            timing_cache=cache_stats,
-            iteration_memo=memo_stats,
+            kernel_count=engine.kernel_count,
+            energy_uj=engine.energy_uj,
+            resource_busy=engine.resource_busy,
+            timing_cache=engine.cache_stats,
+            iteration_memo=engine.memo_stats,
             epochs=epoch_stats,
             metrics=_serving_metrics(
-                requests, iterations, now, serving_cycles, kernel_count,
-                resource_busy, cache_stats, memo_stats,
-                control_active=control_active,
-                goodput=goodput,
-                dispositions=dispositions,
-                preemption_count=preemption_count,
-                epoch_stats=epoch_stats,
-                queue_waits=(zero_wait, queue_waits),
+                requests, iterations, engine, control_active, goodput,
+                dispositions, preemption_count, (zero_wait, queue_waits),
             ),
             policy=self.policy.name,
             control_active=control_active,

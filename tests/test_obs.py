@@ -39,9 +39,11 @@ from repro.workloads import (
     ModelSpec,
     RequestSpec,
     ServingTrace,
+    run_fleet,
     run_model,
     run_serving,
 )
+from test_goldens import EPOCH_TRACE
 
 GPT_TINY = ModelSpec(family="gpt", phase="decode", batch=1, seq_len=32,
                      hidden=128, blocks=1, heads=4, context_len=64)
@@ -204,7 +206,7 @@ class TestTraceRecorder:
                           start=5, duration=10)
         assert [span.start for span in recorder.spans] == [105, 1105, 5]
 
-    def test_capture_replay_round_trip(self):
+    def test_take_replay_round_trip(self):
         recorder = TraceRecorder()
         recorder.add_span("before", process="units", track="matrix",
                           start=0, duration=1)
@@ -214,13 +216,17 @@ class TestTraceRecorder:
         b = recorder.add_span("k1", process="units", track="simt",
                               start=210, duration=5)
         recorder.add_flow(a, b)
-        captured = recorder.capture(marker, base=200)
+        captured = recorder.take(marker, base=200)
         assert [span.start for span in captured.spans] == [0, 10]
         assert captured.flows == [(0, 1)]
+        # Taking lifts the spans out: nothing is left behind to discard.
+        assert [span.name for span in recorder.spans] == ["before"]
+        assert recorder.flows == []
 
         recorder.replay(captured, base=900)
-        assert [span.start for span in recorder.spans[-2:]] == [900, 910]
-        assert recorder.flows[-1] == (3, 4)
+        recorder.replay(captured, base=2_000)
+        assert [span.start for span in recorder.spans[1:]] == [900, 910, 2_000, 2_010]
+        assert recorder.flows == [(1, 2), (3, 4)]
 
     def test_record_schedule_spans_and_flows(self):
         graph = OperationGraph()
@@ -471,6 +477,41 @@ class TestTraceReport:
         assert "serving" in text
         assert "unit occupancy timeline" in text
         assert "iteration 0" in text
+
+    @pytest.mark.parametrize(
+        "case", ["warm-serve", "episodes", "cold-fleet-crash", "warm-fleet-crash"]
+    )
+    def test_summary_unit_busy_matches_the_run(self, case):
+        """Trace unit busy equals the run's busy cycles whatever the cache
+        state: memo replays and extrapolated stretches count their
+        ``busy_cycles``, and a crash-aborted fleet iteration leaves no
+        spans.  Fleet busy is summed over the replicas."""
+        if case == "warm-serve":
+            run = lambda: run_serving(OBS_SERVING_TRACE, DesignKind.VIRGO)  # noqa: E731
+        elif case == "episodes":
+            run = lambda: run_serving(EPOCH_TRACE, DesignKind.VIRGO)  # noqa: E731
+        else:
+            run = lambda: run_fleet(  # noqa: E731
+                "bursty-gpt", "duo-virgo", faults="crash@0:100000:600000"
+            )
+        timing_cache().clear()
+        if not case.startswith("cold"):
+            run()
+        recorder = TraceRecorder(capture_phases=False)
+        with tracing(recorder):
+            result = run()
+        if case.endswith("fleet-crash"):
+            assert sum(rep.aborted_iterations for rep in result.replicas) > 0
+            busy = {}
+            for rep in result.replicas:
+                for resource, cycles in rep.resource_busy.items():
+                    busy[resource] = busy.get(resource, 0) + cycles
+        else:
+            busy = result.resource_busy
+        if case == "episodes":
+            assert result.epochs["episode_runs"] >= 1
+        occupancy = trace_summary(recorder.chrome_trace())["unit_occupancy"]
+        assert {resource: entry["busy"] for resource, entry in occupancy.items()} == busy
 
 
 # --------------------------------------------------------------------------- #
