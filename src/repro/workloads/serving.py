@@ -21,6 +21,10 @@ continuous batching over it:
 4. requests that completed their decode budget retire; the clock advances by
    the iteration makespan and the loop repeats until the trace drains.
 
+Steps 2-4 live in :class:`ReplicaEngine`, the one stepper that both
+:meth:`ServingScheduler.run` and the fleet router's replicas
+(:mod:`repro.workloads.fleet`) drive.
+
 Every per-kernel simulation flows through the process-wide timing cache and
 the steady-state-compressed kernel schedulers, lowered per-step schedules
 are memoized per (model spec, bucketed context), and whole *iterations* are
