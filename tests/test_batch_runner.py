@@ -7,6 +7,7 @@ import pytest
 import repro.workloads.batch as batch_module
 from repro.workloads import (
     BatchJob,
+    FleetJob,
     ModelSpec,
     RequestSpec,
     ResultCache,
@@ -60,6 +61,30 @@ class TestCacheKeys:
         by_name = BatchJob("gpt-decode", "virgo")
         by_spec = BatchJob(resolve_spec("gpt-decode"), "virgo")
         assert by_name.key() == by_spec.key()
+
+    @pytest.mark.parametrize(
+        "job, expected",
+        [
+            (
+                BatchJob("gpt-decode", "virgo"),
+                "13e948d9a182b2a9aca1d38189f6edb787b10d0e559d10cb271310f8d6071cb9",
+            ),
+            (
+                ServingJob(TINY_TRACE, "virgo", policy="kv-budget", kv_budget=300_000),
+                "15e109c7ddcda22e5d7ea10c6500dabdde0eef55ddca7c3d0a137859ec85441c",
+            ),
+            (
+                FleetJob(TINY_TRACE, "duo-virgo", faults="crash:0.5:200000", fault_seed=3),
+                "ad395246ac2f88ce6d276a1c0fc43523947fc98a1b074e0052d7517931178a54",
+            ),
+        ],
+        ids=["model", "serving", "fleet"],
+    )
+    def test_key_is_pinned_per_kind(self, job, expected):
+        """The exact hex key of one job per kind.  A moved key orphans every
+        on-disk cache entry of that kind, so it must only move on purpose
+        (a ``CACHE_SCHEMA_VERSION`` bump or a job-content change)."""
+        assert job.key() == expected
 
 
 class TestResultCache:
