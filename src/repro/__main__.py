@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack
 from typing import Sequence
 
 from repro.analysis.figures import (
@@ -74,6 +74,7 @@ from repro.kernels.heterogeneous import heterogeneous_summary, simulate_heteroge
 from repro.perf import persistent_timing_cache, timing_cache
 from repro.runner import run_flash_attention, run_gemm
 from repro.workloads import (
+    POLICIES,
     ROUTER_POLICIES,
     RouterConfig,
     fleet_names,
@@ -90,33 +91,34 @@ from repro.workloads import (
 )
 
 
-def _maybe_persistent_cache(cache_dir):
-    """Persist the timing cache under ``cache_dir`` when one was given.
+def _run(args: argparse.Namespace, label: str, body, *, persist: bool = True):
+    """Run one subcommand body under the contexts its flags ask for.
 
-    A second identical invocation then starts with every kernel timing warm
-    (the snapshot loads at process start and flushes atomically on exit);
-    without a cache directory the run stays process-local.
-    """
-    if cache_dir is None:
-        return nullcontext()
-    return persistent_timing_cache(cache_dir)
+    ``--trace-out`` / ``--metrics`` wrap ``body()`` in a trace recorder and
+    a phase profiler, and with ``persist`` a ``--cache-dir`` loads and
+    flushes the persistent timing-cache snapshot around it, so a repeat
+    invocation starts with every kernel timing warm (the profiler sees the
+    snapshot load/save phases too).  Unknown zoo names and unsupported
+    flag combinations surface as ``KeyError`` / ``ValueError`` whose
+    messages already name the valid choices; they exit with that message
+    instead of a traceback.
 
-
-def _observed_run(args: argparse.Namespace, label: str, runner):
-    """Run ``runner()`` under the observability contexts the flags ask for.
-
-    Returns ``(result, recorder, profiler)``; ``recorder`` / ``profiler`` are
-    ``None`` when ``--trace-out`` / ``--metrics`` were not given.  Both
-    contexts wrap the whole runner so cache load/save phases are captured too.
+    Returns ``(result, recorder, profiler)``; ``recorder`` / ``profiler``
+    are ``None`` when their flag was not given.
     """
     recorder = TraceRecorder(label=label) if args.trace_out else None
     profiler = PhaseProfiler() if args.metrics else None
-    with ExitStack() as stack:
-        if recorder is not None:
-            stack.enter_context(tracing(recorder))
-        if profiler is not None:
-            stack.enter_context(profiling(profiler))
-        result = runner()
+    try:
+        with ExitStack() as stack:
+            if recorder is not None:
+                stack.enter_context(tracing(recorder))
+            if profiler is not None:
+                stack.enter_context(profiling(profiler))
+            if persist and args.cache_dir is not None:
+                stack.enter_context(persistent_timing_cache(args.cache_dir))
+            result = body()
+    except (KeyError, ValueError) as error:
+        raise SystemExit(error.args[0] if error.args else str(error)) from error
     return result, recorder, profiler
 
 
@@ -228,6 +230,19 @@ def _cmd_hetero(_: argparse.Namespace) -> None:
     print(json.dumps(summary, indent=2))
 
 
+def _print_run_json(result, latency_report, perf_stats) -> None:
+    """Print a serve/fleet run as one JSON document.
+
+    Run-local perf diagnostics ride outside ``to_dict()``: the canonical
+    encoding (and the goldens/result caches pinning it) must stay
+    byte-stable across cache and memo states.
+    """
+    report = result.to_dict()
+    report["latency_report"] = latency_report(result)
+    report["perf"] = perf_stats(result)
+    print(json.dumps(report, indent=2))
+
+
 def _cmd_model(args: argparse.Namespace) -> None:
     if args.list:
         for name in model_names():
@@ -259,17 +274,15 @@ def _cmd_model(args: argparse.Namespace) -> None:
             raise SystemExit("--batch requires --names and --designs")
         for design in designs:
             _design_from_name(design)  # fail fast on typos
-        for name in names:
-            try:
-                resolve_spec(name)
-            except KeyError as error:
-                raise SystemExit(error.args[0]) from error
-        try:
-            jobs = sweep_jobs(names, designs, heterogeneous=args.hetero)
-            report = run_batch(jobs, cache_dir=args.cache_dir, max_workers=args.workers)
-        except (KeyError, ValueError) as error:
-            message = error.args[0] if error.args else str(error)
-            raise SystemExit(message) from error
+        # run_batch persists the timing cache itself, next to its results.
+        report, _, _ = _run(
+            args, "batch",
+            lambda: run_batch(
+                sweep_jobs(names, designs, heterogeneous=args.hetero),
+                cache_dir=args.cache_dir, max_workers=args.workers,
+            ),
+            persist=False,
+        )
         headers = ["job", "total cycles", "MAC util %", "energy uJ", "cached"]
         rows = [
             [
@@ -286,49 +299,38 @@ def _cmd_model(args: argparse.Namespace) -> None:
         return
 
     kind = _design_from_name(args.design)
-
-    def runner():
-        with _maybe_persistent_cache(args.cache_dir):
-            return run_model(args.name, kind, heterogeneous=args.hetero)
-
-    try:
-        result, recorder, profiler = _observed_run(args, args.name, runner)
-    except (KeyError, ValueError) as error:
-        # Unknown zoo name or an unsupported design/flag combination; both
-        # messages already name the valid choices.
-        message = error.args[0] if error.args else str(error)
-        raise SystemExit(message) from error
+    result, recorder, profiler = _run(
+        args, args.name, lambda: run_model(args.name, kind, heterogeneous=args.hetero)
+    )
     if args.json:
         print(json.dumps(model_breakdown_report(result), indent=2))
-        _report_observability(args, result, recorder, profiler)
-        return
-
-    spec = resolve_spec(args.name)
-    print(
-        f"{args.name} on {result.design_name}"
-        + (" (heterogeneous dual unit)" if result.heterogeneous else "")
-        + f": batch={spec.batch} seq={spec.seq_len} hidden={spec.hidden} "
-        f"blocks={spec.blocks} heads={spec.heads}\n"
-    )
-    print(format_table(LAYER_HEADERS, model_layer_rows(result)))
-    print()
-    if args.moe_breakdown:
-        print(format_overlap_report(result))
-        print()
-    for phase, summary in model_phase_summary(result).items():
+    else:
+        spec = resolve_spec(args.name)
         print(
-            f"phase {phase}: {summary['busy_cycles']:,.0f} busy cycles, "
-            f"{summary['energy_uj']:.1f} uJ "
-            f"({summary['energy_share_percent']:.1f}% of energy)"
+            f"{args.name} on {result.design_name}"
+            + (" (heterogeneous dual unit)" if result.heterogeneous else "")
+            + f": batch={spec.batch} seq={spec.seq_len} hidden={spec.hidden} "
+            f"blocks={spec.blocks} heads={spec.heads}\n"
         )
-    headers, rows = compare_models([result])
-    print()
-    print(format_table(headers, rows))
-    stats = result.timing_cache
-    print(
-        f"\ntiming cache: {stats.get('hits', 0)} hits, {stats.get('misses', 0)} misses "
-        f"({len(timing_cache())} entries in process)"
-    )
+        print(format_table(LAYER_HEADERS, model_layer_rows(result)))
+        print()
+        if args.moe_breakdown:
+            print(format_overlap_report(result))
+            print()
+        for phase, summary in model_phase_summary(result).items():
+            print(
+                f"phase {phase}: {summary['busy_cycles']:,.0f} busy cycles, "
+                f"{summary['energy_uj']:.1f} uJ "
+                f"({summary['energy_share_percent']:.1f}% of energy)"
+            )
+        headers, rows = compare_models([result])
+        print()
+        print(format_table(headers, rows))
+        stats = result.timing_cache
+        print(
+            f"\ntiming cache: {stats.get('hits', 0)} hits, {stats.get('misses', 0)} misses "
+            f"({len(timing_cache())} entries in process)"
+        )
     _report_observability(args, result, recorder, profiler)
 
 
@@ -347,36 +349,24 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         return
 
     kind = _design_from_name(args.design)
-
-    def runner():
-        with _maybe_persistent_cache(args.cache_dir):
-            return run_serving(
-                args.trace, kind, heterogeneous=args.hetero,
-                iteration_memo=not args.no_iteration_memo,
-                policy=args.policy, kv_budget=args.kv_budget,
-                faults=args.inject, fault_seed=args.fault_seed,
-                epoch_compression=args.epoch_compression,
-            )
-
-    try:
-        result, recorder, profiler = _observed_run(args, args.trace, runner)
-    except (KeyError, ValueError) as error:
-        # Unknown trace name or an unsupported design/flag combination; both
-        # messages already name the valid choices.
-        message = error.args[0] if error.args else str(error)
-        raise SystemExit(message) from error
-
+    result, recorder, profiler = _run(
+        args, args.trace,
+        lambda: run_serving(
+            args.trace, kind, heterogeneous=args.hetero,
+            iteration_memo=not args.no_iteration_memo,
+            policy=args.policy, kv_budget=args.kv_budget,
+            faults=args.inject, fault_seed=args.fault_seed,
+            epoch_compression=args.epoch_compression,
+        ),
+    )
     if args.json:
-        report = result.to_dict()
-        report["latency_report"] = serving_latency_report(result)
-        # Run-local perf diagnostics ride outside to_dict(): the canonical
-        # encoding (and the goldens/result caches pinning it) must stay
-        # byte-stable across cache and memo states.
-        report["perf"] = serving_perf_stats(result)
-        print(json.dumps(report, indent=2))
-        _report_observability(args, result, recorder, profiler)
-        return
+        _print_run_json(result, serving_latency_report, serving_perf_stats)
+    else:
+        _print_serve_text(args, result)
+    _report_observability(args, result, recorder, profiler)
 
+
+def _print_serve_text(args: argparse.Namespace, result) -> None:
     print(
         f"{result.trace} on {result.design_name}"
         + (" (heterogeneous dual unit)" if result.heterogeneous else "")
@@ -386,7 +376,14 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     headers = REQUEST_HEADERS + ["disposition"] if result.control_active else REQUEST_HEADERS
     print(format_table(headers, serving_request_rows(result)))
     print()
-    if result.control_active and not args.latency_report:
+    if args.latency_report:
+        # The report carries the makespan/batch/throughput header, the policy
+        # line and the memo / epoch-compression lines.
+        print(format_latency_report(result))
+        print()
+        print(f"energy: {result.energy_uj:.1f} uJ")
+        return
+    if result.control_active:
         dispositions = "  ".join(
             f"{name} {count}" for name, count in result.dispositions.items()
         )
@@ -394,18 +391,12 @@ def _cmd_serve(args: argparse.Namespace) -> None:
             f"policy {result.policy}: goodput {result.goodput:.3f} "
             f"({dispositions}; {result.preemption_count} preemptions)"
         )
-    if args.latency_report:
-        # The report's header line already carries makespan/batch/throughput.
-        print(format_latency_report(result))
-        print()
-        print(f"energy: {result.energy_uj:.1f} uJ")
-    else:
-        print(
-            f"makespan {result.total_cycles:,} cycles "
-            f"({result.serving_cycles:,} serving), mean batch {result.mean_batch:.2f}, "
-            f"{result.tokens_per_kilocycle:.2f} tokens/kcycle, "
-            f"{result.energy_uj:.1f} uJ"
-        )
+    print(
+        f"makespan {result.total_cycles:,} cycles "
+        f"({result.serving_cycles:,} serving), mean batch {result.mean_batch:.2f}, "
+        f"{result.tokens_per_kilocycle:.2f} tokens/kcycle, "
+        f"{result.energy_uj:.1f} uJ"
+    )
     stats = result.timing_cache
     memo = result.iteration_memo
     print(
@@ -422,7 +413,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
             f"{epochs.get('episode_runs', 0)} episode runs; "
             f"{extrapolated}/{executed + extrapolated} iterations extrapolated"
         )
-    _report_observability(args, result, recorder, profiler)
 
 
 def _cmd_fleet(args: argparse.Namespace) -> None:
@@ -440,63 +430,45 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
         return
 
     fleet = int(args.fleet) if args.fleet.isdigit() else args.fleet
-    config = RouterConfig(
-        failover=not args.no_failover,
-        max_retries=args.max_retries,
-        seed=args.router_seed,
+    result, recorder, profiler = _run(
+        args, f"fleet:{args.trace}",
+        lambda: run_fleet(
+            args.trace, fleet, heterogeneous=args.hetero, policy=args.policy,
+            config=RouterConfig(
+                failover=not args.no_failover,
+                max_retries=args.max_retries,
+                seed=args.router_seed,
+            ),
+            faults=args.inject, fault_seed=args.fault_seed,
+            iteration_memo=not args.no_iteration_memo,
+            epoch_extrapolation=args.epoch_compression,
+        ),
     )
-
-    def runner():
-        with _maybe_persistent_cache(args.cache_dir):
-            return run_fleet(
-                args.trace, fleet, heterogeneous=args.hetero,
-                policy=args.policy, config=config,
-                faults=args.inject, fault_seed=args.fault_seed,
-                iteration_memo=not args.no_iteration_memo,
-                epoch_extrapolation=args.epoch_compression,
-            )
-
-    try:
-        result, recorder, profiler = _observed_run(args, f"fleet:{args.trace}", runner)
-    except (KeyError, ValueError) as error:
-        # Unknown trace/fleet/policy name or an invalid fault plan; the
-        # messages already name the valid choices or the offending token.
-        message = error.args[0] if error.args else str(error)
-        raise SystemExit(message) from error
-
     if args.json:
-        report = result.to_dict()
-        report["latency_report"] = fleet_report(result)
-        # Run-local perf diagnostics ride outside to_dict(): the canonical
-        # encoding (and the result caches pinning it) must stay byte-stable
-        # across cache and memo states.
-        report["perf"] = fleet_perf_stats(result)
-        print(json.dumps(report, indent=2))
-        _report_observability(args, result, recorder, profiler)
-        return
-
-    print(
-        f"{result.trace} across {len(result.replicas)} replicas "
-        f"({', '.join(result.fleet)}) under {result.policy}"
-        + (" (heterogeneous dual unit)" if result.heterogeneous else "")
-        + f": {len(result.requests)} requests\n"
-    )
-    print(format_table(FLEET_REQUEST_HEADERS, fleet_request_rows(result)))
-    print()
-    if args.latency_report:
-        print(format_fleet_report(result))
+        _print_run_json(result, fleet_report, fleet_perf_stats)
     else:
-        dispositions = "  ".join(
-            f"{name} {count}" for name, count in result.dispositions.items()
-        )
         print(
-            f"goodput {result.goodput:.3f}  availability {result.availability:.3f}  "
-            f"({dispositions})\n"
-            f"makespan {result.total_cycles:,} cycles; "
-            f"{result.dispatch_count} dispatches "
-            f"({result.failed_dispatches} failed), "
-            f"{result.retry_count} retries, {result.failover_count} failovers"
+            f"{result.trace} across {len(result.replicas)} replicas "
+            f"({', '.join(result.fleet)}) under {result.policy}"
+            + (" (heterogeneous dual unit)" if result.heterogeneous else "")
+            + f": {len(result.requests)} requests\n"
         )
+        print(format_table(FLEET_REQUEST_HEADERS, fleet_request_rows(result)))
+        print()
+        if args.latency_report:
+            print(format_fleet_report(result))
+        else:
+            dispositions = "  ".join(
+                f"{name} {count}" for name, count in result.dispositions.items()
+            )
+            print(
+                f"goodput {result.goodput:.3f}  availability {result.availability:.3f}  "
+                f"({dispositions})\n"
+                f"makespan {result.total_cycles:,} cycles; "
+                f"{result.dispatch_count} dispatches "
+                f"({result.failed_dispatches} failed), "
+                f"{result.retry_count} retries, {result.failover_count} failovers"
+            )
     _report_observability(args, result, recorder, profiler)
 
 
@@ -524,6 +496,62 @@ def _cmd_trace_report(args: argparse.Namespace) -> None:
     print(format_trace_summary(summary, title=str(args.input)))
 
 
+def _add_design_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--design", default="virgo", help="volta | ampere | hopper | virgo")
+
+
+def _add_run_flags(
+    parser: argparse.ArgumentParser, *, report: str, listing: str, hetero: str, schedule: str
+) -> None:
+    """Flags every simulation subcommand (``model``/``serve``/``fleet``) takes.
+
+    The keyword arguments finish each command's help texts: what ``--json``
+    emits, the ``--list`` help, what ``--hetero`` switches on and which
+    schedule ``--trace-out`` records.
+    """
+    parser.add_argument("--hetero", action="store_true", help=hetero)
+    parser.add_argument("--json", action="store_true", help=f"emit the full JSON {report}")
+    parser.add_argument("--list", action="store_true", help=listing)
+    parser.add_argument("--cache-dir", default=None,
+                        help="persist the kernel-timing cache here so repeat "
+                             "invocations start warm")
+    parser.add_argument("--trace-out", metavar="FILE", default=None,
+                        help=f"write the {schedule} as Chrome trace-event "
+                             "JSON (open in ui.perfetto.dev)")
+    parser.add_argument("--metrics", action="store_true",
+                        help="print the metrics-registry snapshot (including "
+                             "diagnostics) and a wall-clock phase profile")
+
+
+def _add_serving_flags(
+    parser: argparse.ArgumentParser, *, trace: str, policy: str, policy_help: str,
+    latency: str, inject: str,
+) -> None:
+    """Flags ``serve`` and ``fleet`` share.
+
+    ``trace`` and ``policy`` are the command's defaults; ``policy_help``,
+    ``latency`` and ``inject`` describe its policy names, what
+    ``--latency-report`` prints and its fault-plan grammar.
+    """
+    parser.add_argument("--trace", default=trace, help="serving-trace zoo entry (see --list)")
+    parser.add_argument("--policy", default=policy, help=policy_help)
+    parser.add_argument("--latency-report", action="store_true", help=f"print {latency}")
+    parser.add_argument("--no-iteration-memo", action="store_true",
+                        help="merge and schedule every iteration afresh "
+                             "(disables the iteration-level memo)")
+    parser.add_argument("--epoch-compression", default=True,
+                        action=argparse.BooleanOptionalAction,
+                        help="extrapolate invariant batch compositions in "
+                             "closed form instead of simulating every "
+                             "iteration (results are byte-identical either "
+                             "way; --no-epoch-compression forces the exact "
+                             "per-iteration loop)")
+    parser.add_argument("--inject", default=None, metavar="SPEC", help=inject)
+    parser.add_argument("--fault-seed", type=int, default=0,
+                        help="seed for the --inject fault plan (same seed => "
+                             "byte-identical run)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Virgo (ASPLOS 2025) reproduction experiments"
@@ -531,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gemm = sub.add_parser("gemm", help="simulate a square GEMM")
-    gemm.add_argument("--design", default="virgo", help="volta | ampere | hopper | virgo")
+    _add_design_flag(gemm)
     gemm.add_argument("--size", type=int, default=512)
     gemm.add_argument("--all-designs", action="store_true")
     gemm.set_defaults(func=_cmd_gemm)
@@ -569,28 +597,20 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     model.add_argument("--name", default="gpt-prefill", help="model zoo entry (see --list)")
-    model.add_argument("--design", default="virgo", help="volta | ampere | hopper | virgo")
-    model.add_argument("--hetero", action="store_true",
-                       help="route small GEMMs onto a half-size secondary matrix unit")
+    _add_design_flag(model)
+    _add_run_flags(
+        model, report="breakdown", listing="list the model zoo and exit",
+        hetero="route small GEMMs onto a half-size secondary matrix unit",
+        schedule="kernel schedule",
+    )
     model.add_argument("--moe-breakdown", action="store_true",
                        help="report per-unit occupancy and measured overlap "
                             "(makespan vs. serialized kernel time)")
-    model.add_argument("--json", action="store_true", help="emit the full JSON breakdown")
-    model.add_argument("--list", action="store_true", help="list the model zoo and exit")
     model.add_argument("--batch", action="store_true", help="run a (models x designs) sweep")
     model.add_argument("--names", default="", help="comma-separated models for --batch")
     model.add_argument("--designs", default="", help="comma-separated designs for --batch")
-    model.add_argument("--cache-dir", default=None,
-                       help="on-disk cache directory (batch results + "
-                            "persistent kernel-timing snapshot)")
     model.add_argument("--workers", type=int, default=None,
                        help="process-pool size for --batch (default: cpu count)")
-    model.add_argument("--trace-out", metavar="FILE", default=None,
-                       help="write the kernel schedule as Chrome trace-event "
-                            "JSON (open in ui.perfetto.dev)")
-    model.add_argument("--metrics", action="store_true",
-                       help="print the metrics-registry snapshot (including "
-                            "diagnostics) and a wall-clock phase profile")
     model.set_defaults(func=_cmd_model)
 
     serve = sub.add_parser(
@@ -606,49 +626,22 @@ def build_parser() -> argparse.ArgumentParser:
             "delay."
         ),
     )
-    serve.add_argument("--trace", default="poisson-mixed",
-                       help="serving-trace zoo entry (see --list)")
-    serve.add_argument("--design", default="virgo", help="volta | ampere | hopper | virgo")
-    serve.add_argument("--hetero", action="store_true",
-                       help="serve on the dual-matrix-unit configuration")
-    serve.add_argument("--latency-report", action="store_true",
-                       help="print p50/p95/p99 latency, TTFT and queueing percentiles")
-    serve.add_argument("--json", action="store_true",
-                       help="emit the full JSON serving report")
-    serve.add_argument("--list", action="store_true",
-                       help="list the serving-trace zoo and exit")
-    serve.add_argument("--cache-dir", default=None,
-                       help="persist the kernel-timing cache here so repeat "
-                            "invocations start warm")
-    serve.add_argument("--no-iteration-memo", action="store_true",
-                       help="merge and schedule every iteration afresh "
-                            "(disables the iteration-level memo)")
-    serve.add_argument("--epoch-compression", default=True,
-                       action=argparse.BooleanOptionalAction,
-                       help="extrapolate invariant batch compositions in "
-                            "closed form instead of simulating every "
-                            "iteration (results are byte-identical either "
-                            "way; --no-epoch-compression forces the exact "
-                            "per-iteration loop)")
-    serve.add_argument("--policy", default="fcfs",
-                       help="scheduling policy: fcfs | kv-budget | preemptive-slo")
+    _add_serving_flags(
+        serve, trace="poisson-mixed", policy="fcfs",
+        policy_help="scheduling policy: " + " | ".join(sorted(POLICIES)),
+        latency="p50/p95/p99 latency, TTFT and queueing percentiles",
+        inject="fault-injection spec, comma-separated kind:rate:magnitude "
+               "tokens, e.g. 'spike:0.3:4.0,stall:0.2:5000,burst:0.5:30000'",
+    )
+    _add_design_flag(serve)
     serve.add_argument("--kv-budget", type=int, default=None, metavar="BYTES",
                        help="resident-KV HBM budget for the budgeted policies "
                             "(default: the design's hbm_capacity_bytes)")
-    serve.add_argument("--inject", default=None, metavar="SPEC",
-                       help="fault-injection spec, comma-separated "
-                            "kind:rate:magnitude tokens, e.g. "
-                            "'spike:0.3:4.0,stall:0.2:5000,burst:0.5:30000'")
-    serve.add_argument("--fault-seed", type=int, default=0,
-                       help="seed for the --inject fault plan (same seed => "
-                            "byte-identical run)")
-    serve.add_argument("--trace-out", metavar="FILE", default=None,
-                       help="write the serving schedule (request lifecycles, "
-                            "iterations, per-unit kernels) as Chrome "
-                            "trace-event JSON (open in ui.perfetto.dev)")
-    serve.add_argument("--metrics", action="store_true",
-                       help="print the metrics-registry snapshot (including "
-                            "diagnostics) and a wall-clock phase profile")
+    _add_run_flags(
+        serve, report="serving report", listing="list the serving-trace zoo and exit",
+        hetero="serve on the dual-matrix-unit configuration",
+        schedule="serving schedule (request lifecycles, iterations, per-unit kernels)",
+    )
     serve.set_defaults(func=_cmd_serve)
 
     fleet = sub.add_parser(
@@ -665,43 +658,19 @@ def build_parser() -> argparse.ArgumentParser:
             "seed reproduces the run byte-identically."
         ),
     )
-    fleet.add_argument("--trace", default="bursty-gpt",
-                       help="serving-trace zoo entry (see --list)")
     fleet.add_argument("--fleet", default="duo-virgo",
                        help="fleet zoo entry (see --list) or a replica count "
                             "(N identical virgos)")
-    fleet.add_argument("--policy", default="round-robin",
-                       help="router policy: " + " | ".join(sorted(ROUTER_POLICIES)))
-    fleet.add_argument("--hetero", action="store_true",
-                       help="every replica uses the dual-matrix-unit configuration")
-    fleet.add_argument("--latency-report", action="store_true",
-                       help="print fleet p50/p95/p99 latency, goodput, "
-                            "availability and per-replica occupancy")
-    fleet.add_argument("--json", action="store_true",
-                       help="emit the full JSON fleet report")
-    fleet.add_argument("--list", action="store_true",
-                       help="list traces, fleet presets and router policies; exit")
-    fleet.add_argument("--cache-dir", default=None,
-                       help="persist the kernel-timing cache here so repeat "
-                            "invocations start warm")
-    fleet.add_argument("--no-iteration-memo", action="store_true",
-                       help="merge and schedule every iteration afresh on "
-                            "every replica (disables the iteration-level memo)")
-    fleet.add_argument("--epoch-compression", default=True,
-                       action=argparse.BooleanOptionalAction,
-                       help="extrapolate invariant batch compositions in "
-                            "closed form between fleet events (results are "
-                            "byte-identical either way)")
-    fleet.add_argument("--inject", default=None, metavar="SPEC",
-                       help="replica fault plan, comma-separated tokens: "
-                            "fleet-wide 'crash:RATE:DOWN_CYCLES', "
-                            "'slow:RATE:SCALE:CYCLES', "
-                            "'partition:RATE:CYCLES', or targeted "
-                            "'crash@R:AT:DOWN_CYCLES', 'slow@R:AT:SCALE:CYCLES', "
-                            "'partition@R:AT:CYCLES'")
-    fleet.add_argument("--fault-seed", type=int, default=0,
-                       help="seed for the --inject fault plan (same seed => "
-                            "byte-identical run)")
+    _add_serving_flags(
+        fleet, trace="bursty-gpt", policy="round-robin",
+        policy_help="router policy: " + " | ".join(sorted(ROUTER_POLICIES)),
+        latency="fleet p50/p95/p99 latency, goodput, availability and "
+                "per-replica occupancy",
+        inject="replica fault plan, comma-separated tokens: fleet-wide "
+               "'crash:RATE:DOWN_CYCLES', 'slow:RATE:SCALE:CYCLES', "
+               "'partition:RATE:CYCLES', or targeted 'crash@R:AT:DOWN_CYCLES', "
+               "'slow@R:AT:SCALE:CYCLES', 'partition@R:AT:CYCLES'",
+    )
     fleet.add_argument("--no-failover", action="store_true",
                        help="do not fail over in-flight work from a crashed "
                             "replica; its requests are lost (disposition "
@@ -712,13 +681,11 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--router-seed", type=int, default=0,
                        help="seed for the router's jittered backoff and "
                             "power-of-two sampling")
-    fleet.add_argument("--trace-out", metavar="FILE", default=None,
-                       help="write the fleet schedule (router decisions plus "
-                            "one track per replica) as Chrome trace-event "
-                            "JSON (open in ui.perfetto.dev)")
-    fleet.add_argument("--metrics", action="store_true",
-                       help="print the metrics-registry snapshot (including "
-                            "diagnostics) and a wall-clock phase profile")
+    _add_run_flags(
+        fleet, report="fleet report", listing="list traces, fleet presets and router policies; exit",
+        hetero="every replica uses the dual-matrix-unit configuration",
+        schedule="fleet schedule (router decisions plus one track per replica)",
+    )
     fleet.set_defaults(func=_cmd_fleet)
 
     trace_report = sub.add_parser(

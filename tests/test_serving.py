@@ -340,6 +340,12 @@ class TestServeCli:
         assert "latency: p50" in out and "p95" in out and "p99" in out
         assert "ttft: p50" in out
 
+    def test_latency_report_prints_each_summary_line_once(self, capsys):
+        assert main(["serve", "--trace", "uniform-moe", "--latency-report"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for prefix in ("iteration memo:", "epoch compression:"):
+            assert sum(line.startswith(prefix) for line in lines) == 1, prefix
+
     def test_json_report(self, capsys):
         assert main(["serve", "--trace", "uniform-moe", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
