@@ -42,7 +42,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro import __version__
 from repro.config.soc import DataType
@@ -59,38 +59,61 @@ from repro.workloads.models import ModelSpec, resolve_spec, resolve_trace, scale
 from repro.workloads.lowering import run_model
 from repro.workloads.serving import run_serving
 
-#: Bump to invalidate every cache entry when the timing models change shape.
-#: 2: ModelSpec grew the MoE hyperparameters (experts/top_k/capacity_factor/
-#: shared_experts), which widen the hashed spec payload.
-#: 3: serving jobs joined the cache namespace (ServingJob hashes a whole
-#: trace payload) and job payloads grew a "kind" discriminator.
-#: 4: run-result ``to_dict`` encodings grew the "metrics" snapshot
-#: (:mod:`repro.obs.metrics`), changing the cached payload shape.
-#: 5: serving jobs grew the control-plane knobs (policy, kv_budget) and
-#: serving traces may carry per-request SLO classes in their payloads.
-#: 6: serving jobs grew the ``epoch_compression`` knob.  Results are proven
-#: byte-identical either way, but keying the execution path keeps a
-#: hypothetical compression bug from silently serving stale exact-mode
-#: bytes (and vice versa).
-#: 7: causal attention work became exact (per-tile trip counts replace the
-#: 0.5 ``work_scale`` discount), so every cached causal-prefill timing
-#: computed under the approximation is stale at an *unchanged* spec hash --
-#: ModelSpec's new mask fields (``window``/``seq_lens``) are omitted from
-#: ``to_dict`` when defaulted, deliberately keeping unmasked hashes stable.
-#: 8: fleet jobs joined the cache namespace (FleetJob hashes the resolved
-#: replica list, router policy/config and the seeded fault plan), and the
-#: "kind" discriminator grew a third value.
+#: Folded into every job key.  Bump it when the cached result encoding or a
+#: timing model changes while the job content stays the same (the old
+#: entries would otherwise be served under an unchanged key).  A change to
+#: a job's fields or resolved content needs no bump: it moves the key by
+#: itself, and ``tests/test_batch_runner.py`` checks that every job field
+#: reaches the key.
 CACHE_SCHEMA_VERSION = 8
 
 
+class _Job:
+    """Base of the batch jobs: derives the cache key from the job content.
+
+    A job class names its ``kind`` and returns its *resolved* content from
+    :meth:`content`, so two jobs spelling the same content differently share
+    a key and any content change moves it.
+    """
+
+    kind: ClassVar[str]
+
+    def content(self) -> Dict[str, object]:
+        raise NotImplementedError
+
+    def key(self) -> str:
+        """Content hash identifying this job's result."""
+        payload = {
+            "schema": CACHE_SCHEMA_VERSION,
+            "version": __version__,
+            "kind": self.kind,
+            **self.content(),
+        }
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+class _TraceJob(_Job):
+    """A job over a serving trace: a trace-zoo name or a :class:`ServingTrace`."""
+
+    trace: Union[str, ServingTrace]
+
+    @cached_property
+    def resolved(self) -> ServingTrace:
+        """The resolved trace; zoo names are looked up once per job."""
+        return resolve_trace(self.trace) if isinstance(self.trace, str) else self.trace
+
+
 @dataclass(frozen=True)
-class BatchJob:
+class BatchJob(_Job):
     """One (model, design) cell of a sweep.
 
     ``model`` is a zoo name or an explicit :class:`ModelSpec`; specs are
     resolved before hashing so two jobs naming the same content share a
     cache entry regardless of how they were spelled.
     """
+
+    kind = "model"
 
     model: Union[str, ModelSpec]
     design: str = "virgo"
@@ -119,31 +142,26 @@ class BatchJob:
         suffix = "+hetero" if self.heterogeneous else ""
         return f"{name}@{self.design}{suffix}"
 
-    def key(self) -> str:
-        """Content hash identifying this job's result."""
-        payload = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "version": __version__,
-            "kind": "model",
+    def content(self) -> Dict[str, object]:
+        return {
             "spec": self.spec.to_dict(),
             "design": self.design.lower(),
             "heterogeneous": self.heterogeneous,
             "dtype": self.dtype.lower(),
         }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
-class ServingJob:
+class ServingJob(_TraceJob):
     """One (trace, design) cell of a serving sweep.
 
-    ``trace`` is a trace-zoo name or an explicit :class:`ServingTrace`; the
-    content hash covers the *resolved* trace -- every request's arrival,
+    The content hash covers the *resolved* trace -- every request's arrival,
     prompt length, decode budget and full model spec -- so two jobs naming
     the same stream share a cache entry regardless of spelling, and any
     change to the trace content invalidates exactly its own entries.
     """
+
+    kind = "serving"
 
     trace: Union[str, ServingTrace]
     design: str = "virgo"
@@ -152,11 +170,6 @@ class ServingJob:
     policy: str = "fcfs"
     kv_budget: Optional[int] = None
     epoch_compression: bool = True
-
-    @cached_property
-    def resolved(self) -> ServingTrace:
-        """The resolved trace; zoo names are looked up once per job."""
-        return resolve_trace(self.trace) if isinstance(self.trace, str) else self.trace
 
     @property
     def label(self) -> str:
@@ -167,12 +180,8 @@ class ServingJob:
             suffix += f"+kv{self.kv_budget}"
         return f"serve:{self.resolved.name}@{self.design}{suffix}"
 
-    def key(self) -> str:
-        """Content hash identifying this job's result."""
-        payload = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "version": __version__,
-            "kind": "serving",
+    def content(self) -> Dict[str, object]:
+        return {
             "trace": self.resolved.to_dict(),
             "design": self.design.lower(),
             "heterogeneous": self.heterogeneous,
@@ -181,12 +190,10 @@ class ServingJob:
             "kv_budget": self.kv_budget,
             "epoch_compression": self.epoch_compression,
         }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
-class FleetJob:
+class FleetJob(_TraceJob):
     """One (trace, fleet, policy, fault plan) cell of a fleet chaos sweep.
 
     ``fleet`` is a fleet-zoo name, a replica count or an explicit design
@@ -198,6 +205,8 @@ class FleetJob:
     rate, duration or the seed invalidates exactly its own cells.
     """
 
+    kind = "fleet"
+
     trace: Union[str, ServingTrace]
     fleet: Union[str, int, Sequence[str]] = 2
     policy: str = "round-robin"
@@ -206,11 +215,6 @@ class FleetJob:
     faults: Optional[str] = None
     fault_seed: int = 0
     failover: bool = True
-
-    @cached_property
-    def resolved(self) -> ServingTrace:
-        """The resolved trace; zoo names are looked up once per job."""
-        return resolve_trace(self.trace) if isinstance(self.trace, str) else self.trace
 
     @cached_property
     def replica_designs(self) -> tuple:
@@ -238,15 +242,11 @@ class FleetJob:
             suffix += "+nofailover"
         return f"fleet:{self.resolved.name}@{fleet}/{self.policy}{suffix}"
 
-    def key(self) -> str:
-        """Content hash identifying this job's result."""
+    def content(self) -> Dict[str, object]:
         # Resolving the policy here surfaces an unknown name at job-build
         # time instead of inside a pool worker.
         resolve_router_policy(self.policy, 0)
-        payload = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "version": __version__,
-            "kind": "fleet",
+        return {
             "trace": self.resolved.to_dict(),
             "fleet": list(self.replica_designs),
             "policy": self.policy,
@@ -255,8 +255,6 @@ class FleetJob:
             "faults": self.fault_plan.to_dict() if self.fault_plan else None,
             "failover": self.failover,
         }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class ResultCache:
@@ -466,6 +464,12 @@ def _reject_duplicate_cells(jobs: List) -> List:
     return jobs
 
 
+def _crossed(flag: Union[bool, Sequence[bool]]) -> List[bool]:
+    """A sweep knob's values: one flag for every cell, or a sequence of
+    flags to cross into the sweep."""
+    return [flag] if isinstance(flag, bool) else list(flag)
+
+
 def sweep_jobs(
     models: Sequence[Union[str, ModelSpec]],
     designs: Sequence[str],
@@ -480,7 +484,7 @@ def sweep_jobs(
     (the same resolved spec, design and flags) raise ``ValueError`` rather
     than being silently deduplicated by the result cache.
     """
-    flags = [heterogeneous] if isinstance(heterogeneous, bool) else list(heterogeneous)
+    flags = _crossed(heterogeneous)
     return _reject_duplicate_cells(
         [
             BatchJob(model=model, design=design, heterogeneous=flag)
@@ -511,7 +515,7 @@ def serving_sweep_jobs(
     as ``None`` so their cache keys stay policy-independent).  Duplicate
     cells raise ``ValueError``.
     """
-    flags = [heterogeneous] if isinstance(heterogeneous, bool) else list(heterogeneous)
+    flags = _crossed(heterogeneous)
     return _reject_duplicate_cells(
         [
             ServingJob(
@@ -551,8 +555,7 @@ def fleet_sweep_jobs(
     Duplicate cells raise ``ValueError``; so do invalid fault specs and
     unknown fleet or policy names -- at build time, not inside a pool worker.
     """
-    flags = [heterogeneous] if isinstance(heterogeneous, bool) else list(heterogeneous)
-    failovers = [failover] if isinstance(failover, bool) else list(failover)
+    flags, failovers = _crossed(heterogeneous), _crossed(failover)
     jobs = [
         FleetJob(
             trace=trace,
@@ -606,7 +609,7 @@ def moe_sweep_jobs(
             f"moe_sweep_jobs needs a family='moe' base spec, got "
             f"family={base_spec.family!r} (the MoE knobs would be ignored)"
         )
-    flags = [heterogeneous] if isinstance(heterogeneous, bool) else list(heterogeneous)
+    flags = _crossed(heterogeneous)
     return _reject_duplicate_cells(
         [
             BatchJob(

@@ -1,5 +1,6 @@
 """Tests for the cached parallel batch runner."""
 
+import dataclasses
 import json
 
 import pytest
@@ -85,6 +86,59 @@ class TestCacheKeys:
         on-disk cache entry of that kind, so it must only move on purpose
         (a ``CACHE_SCHEMA_VERSION`` bump or a job-content change)."""
         assert job.key() == expected
+
+    @pytest.mark.parametrize(
+        "job, perturbed",
+        [
+            (
+                BatchJob(TINY, "virgo"),
+                {
+                    "model": scaled_spec(TINY, context_len=128),
+                    "design": "ampere",
+                    "heterogeneous": True,
+                    "dtype": "fp32",
+                },
+            ),
+            (
+                ServingJob(TINY_TRACE, "virgo"),
+                {
+                    "trace": dataclasses.replace(TINY_TRACE, context_bucket=64),
+                    "design": "ampere",
+                    "heterogeneous": True,
+                    "dtype": "fp32",
+                    "policy": "kv-budget",
+                    "kv_budget": 300_000,
+                    "epoch_compression": False,
+                },
+            ),
+            (
+                FleetJob(TINY_TRACE, "duo-virgo", faults="crash:0.5:200000", fault_seed=3),
+                {
+                    "trace": dataclasses.replace(TINY_TRACE, context_bucket=64),
+                    "fleet": "trio-virgo",
+                    "policy": "least-outstanding",
+                    "heterogeneous": True,
+                    "dtype": "fp32",
+                    "faults": "crash:0.25:200000",
+                    "fault_seed": 4,
+                    "failover": False,
+                },
+            ),
+        ],
+        ids=["model", "serving", "fleet"],
+    )
+    def test_every_job_field_reaches_the_key(self, job, perturbed):
+        """Changing any one dataclass field of a job moves its key.  A new
+        field left out of ``content()`` fails here instead of silently
+        sharing cache entries with jobs that differ only in that field."""
+        assert set(perturbed) == {field.name for field in dataclasses.fields(job)}
+        for name, value in perturbed.items():
+            other = dataclasses.replace(job, **{name: value})
+            assert other.key() != job.key(), name
+
+    def test_fault_seed_without_faults_keeps_the_key(self):
+        """The seed only parameterizes a fault plan; without one it is inert."""
+        assert FleetJob(TINY_TRACE).key() == FleetJob(TINY_TRACE, fault_seed=9).key()
 
 
 class TestResultCache:
