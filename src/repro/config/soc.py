@@ -204,11 +204,6 @@ class CoreConfig:
     def threads(self) -> int:
         return self.warps * self.lanes
 
-    @property
-    def simt_flops_per_cycle(self) -> int:
-        """Peak FP32 FLOPs per cycle from the SIMD units (1 FMA = 2 FLOPs)."""
-        return 2 * self.lanes * self.fpus_per_lane
-
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -228,14 +223,6 @@ class ClusterConfig:
     @property
     def total_macs_per_cycle(self) -> int:
         return self.matrix_units * self.matrix_unit.macs_per_cycle
-
-    @property
-    def total_warps(self) -> int:
-        return self.cores * self.core.warps
-
-    @property
-    def total_lanes(self) -> int:
-        return self.cores * self.core.lanes
 
 
 @dataclass(frozen=True)

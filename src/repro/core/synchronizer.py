@@ -31,10 +31,6 @@ class BarrierResult:
         return {core: self.release_cycle - cycle for core, cycle in self.arrival_cycles.items()}
 
     @property
-    def max_stall(self) -> int:
-        return max(self.stall_cycles.values()) if self.arrival_cycles else 0
-
-    @property
     def total_stall(self) -> int:
         return sum(self.stall_cycles.values())
 
@@ -98,12 +94,6 @@ class ClusterSynchronizer:
         self.counters.add("sync.stall_cycles", result.total_stall)
         del self._pending[barrier_id]
         return result
-
-    def barrier_cost(self, arrival_skew: int) -> int:
-        """Analytical cost of one barrier given the slowest-core skew."""
-        if arrival_skew < 0:
-            raise ValueError("skew must be non-negative")
-        return arrival_skew + self.release_latency
 
     @property
     def outstanding(self) -> int:

@@ -81,11 +81,6 @@ class GemmKernelResult:
     def mac_utilization_percent(self) -> float:
         return 100.0 * self.mac_utilization
 
-    @property
-    def achieved_tflops(self) -> float:
-        seconds = self.total_cycles / (self.design.soc.clock_mhz * 1e6)
-        return self.workload.flops / seconds / 1e12 if seconds else 0.0
-
     def summary(self) -> str:
         return (
             f"{self.design.name:<14s} GEMM {self.workload.name:>14s}: "

@@ -80,10 +80,6 @@ class TileSpec:
             offset = col * self.leading_dim + row
         return self.base + offset * self.elem_bytes
 
-    def row_addresses(self, row: int) -> List[int]:
-        """Byte addresses of every element of one tile row."""
-        return [self.element_address(row, col) for col in range(self.cols)]
-
     def iter_run_bases(self) -> Iterator[int]:
         """Base byte address of each contiguous run of the tile."""
         if self.layout is MatrixLayout.ROW_MAJOR:

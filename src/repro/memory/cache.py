@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.config.soc import CacheConfig
 from repro.sim.stats import Counters
@@ -33,10 +33,6 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
-
-    @property
-    def miss_rate(self) -> float:
-        return 1.0 - self.hit_rate if self.accesses else 0.0
 
 
 class Cache:
@@ -113,9 +109,6 @@ class Cache:
         self.stats = CacheStats()
         self._sets.clear()
 
-    def resident_lines(self) -> int:
-        return sum(len(ways) for ways in self._sets.values())
-
     def __repr__(self) -> str:
         return (
             f"Cache({self.name!r}, {self.config.size_bytes // 1024}KiB, "
@@ -144,7 +137,3 @@ class CacheHierarchy:
             return self.l1.config.hit_latency + self.l2.config.hit_latency
         self.stats_counters.add("dram.bytes", self.l2.config.line_bytes)
         return self.l1.config.hit_latency + self.l2.config.hit_latency + self.dram_latency
-
-    def load_stream(self, addresses: Iterable[int]) -> List[int]:
-        """Load a stream of addresses; returns per-access latencies."""
-        return [self.load(address) for address in addresses]

@@ -11,7 +11,7 @@ delivery rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Set
+from typing import Sequence, Set
 
 
 @dataclass
@@ -30,10 +30,6 @@ class CoalesceResult:
             return 1.0
         ideal = max(1, -(-self.lane_requests * 4 // self.line_bytes))
         return ideal / self.merged_requests
-
-    @property
-    def bytes_requested(self) -> int:
-        return self.merged_requests * self.line_bytes
 
 
 class Coalescer:
@@ -61,12 +57,6 @@ class Coalescer:
             line_bytes=self.line_bytes,
             unaligned_lanes=unaligned,
         )
-
-    def coalesce_warp_accesses(
-        self, accesses: Iterable[Sequence[int]]
-    ) -> List[CoalesceResult]:
-        """Coalesce a sequence of warp-wide accesses independently."""
-        return [self.coalesce(lane_addresses) for lane_addresses in accesses]
 
     def requests_for_contiguous(self, nbytes: int) -> int:
         """Requests needed for a contiguous region accessed warp-by-warp."""

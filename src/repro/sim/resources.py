@@ -49,10 +49,6 @@ class Resource:
         self.busy_cycles = 0
         self.reservations: List[Reservation] = []
 
-    def earliest_start(self, ready: int) -> int:
-        """Earliest cycle an operation ready at ``ready`` could begin."""
-        return max(ready, min(self._free_at))
-
     def reserve(self, ready: int, duration: int, label: str = "") -> Tuple[int, int]:
         """Grant ``duration`` cycles on the least-loaded instance.
 
@@ -142,9 +138,3 @@ class ResourcePool:
     def reset(self) -> None:
         for resource in self.resources.values():
             resource.reset()
-
-    def utilizations(self, total_cycles: int) -> Dict[str, float]:
-        return {
-            name: resource.utilization(total_cycles)
-            for name, resource in self.resources.items()
-        }

@@ -77,10 +77,6 @@ class IssueResult:
     def ipc(self) -> float:
         return self.instructions_issued / self.cycles if self.cycles else 0.0
 
-    @property
-    def issue_slot_utilization(self) -> float:
-        return min(1.0, self.ipc)
-
 
 class IssueSimulator:
     """Replays warp programs through the issue stage of one SIMT core."""

@@ -130,9 +130,6 @@ class KernelSchedule:
     def __len__(self) -> int:
         return len(self.invocations)
 
-    def kernels_of(self, layer: str) -> List[KernelInvocation]:
-        return [inv for inv in self.invocations if inv.layer == layer]
-
 
 def _supports_fused_attention(design: DesignConfig) -> bool:
     return design.style in (
