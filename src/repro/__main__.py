@@ -92,19 +92,12 @@ from repro.workloads import (
 
 
 def _run(args: argparse.Namespace, label: str, body, *, persist: bool = True):
-    """Run one subcommand body under the contexts its flags ask for.
+    """Run ``body()`` under ``--trace-out`` / ``--metrics`` and, with
+    ``persist``, the ``--cache-dir`` timing-cache snapshot.
 
-    ``--trace-out`` / ``--metrics`` wrap ``body()`` in a trace recorder and
-    a phase profiler, and with ``persist`` a ``--cache-dir`` loads and
-    flushes the persistent timing-cache snapshot around it, so a repeat
-    invocation starts with every kernel timing warm (the profiler sees the
-    snapshot load/save phases too).  Unknown zoo names and unsupported
-    flag combinations surface as ``KeyError`` / ``ValueError`` whose
-    messages already name the valid choices; they exit with that message
-    instead of a traceback.
-
-    Returns ``(result, recorder, profiler)``; ``recorder`` / ``profiler``
-    are ``None`` when their flag was not given.
+    ``KeyError`` / ``ValueError`` (unknown names, bad flag combinations;
+    their messages name the valid choices) exit with the message.  Returns
+    ``(result, recorder, profiler)``, ``None`` for an unrequested context.
     """
     recorder = TraceRecorder(label=label) if args.trace_out else None
     profiler = PhaseProfiler() if args.metrics else None
@@ -193,18 +186,15 @@ def _cmd_flash(args: argparse.Namespace) -> None:
 
 
 def _cmd_table(args: argparse.Namespace) -> None:
-    number = args.number
-    if number == 1:
-        data = table1_scaling_trends()
-    elif number == 2:
-        data = table2_hardware_configuration()
-    elif number == 3:
-        data = table3_mac_utilization()
-    elif number == 4:
-        data = table4_smem_footprint()
-    else:
+    generators = {
+        1: table1_scaling_trends,
+        2: table2_hardware_configuration,
+        3: table3_mac_utilization,
+        4: table4_smem_footprint,
+    }
+    if args.number not in generators:
         raise SystemExit("the paper has tables 1 through 4")
-    print(json.dumps(data, indent=2, default=str))
+    print(json.dumps(generators[args.number](), indent=2, default=str))
 
 
 def _cmd_figure(args: argparse.Namespace) -> None:
@@ -231,12 +221,9 @@ def _cmd_hetero(_: argparse.Namespace) -> None:
 
 
 def _print_run_json(result, latency_report, perf_stats) -> None:
-    """Print a serve/fleet run as one JSON document.
-
-    Run-local perf diagnostics ride outside ``to_dict()``: the canonical
-    encoding (and the goldens/result caches pinning it) must stay
-    byte-stable across cache and memo states.
-    """
+    """Print a serve/fleet run as one JSON document.  The run-local perf
+    diagnostics ride outside ``to_dict()``, whose canonical encoding must
+    stay byte-stable across cache and memo states."""
     report = result.to_dict()
     report["latency_report"] = latency_report(result)
     report["perf"] = perf_stats(result)
@@ -304,33 +291,35 @@ def _cmd_model(args: argparse.Namespace) -> None:
     )
     if args.json:
         print(json.dumps(model_breakdown_report(result), indent=2))
-    else:
-        spec = resolve_spec(args.name)
-        print(
-            f"{args.name} on {result.design_name}"
-            + (" (heterogeneous dual unit)" if result.heterogeneous else "")
-            + f": batch={spec.batch} seq={spec.seq_len} hidden={spec.hidden} "
-            f"blocks={spec.blocks} heads={spec.heads}\n"
-        )
-        print(format_table(LAYER_HEADERS, model_layer_rows(result)))
+        _report_observability(args, result, recorder, profiler)
+        return
+
+    spec = resolve_spec(args.name)
+    print(
+        f"{args.name} on {result.design_name}"
+        + (" (heterogeneous dual unit)" if result.heterogeneous else "")
+        + f": batch={spec.batch} seq={spec.seq_len} hidden={spec.hidden} "
+        f"blocks={spec.blocks} heads={spec.heads}\n"
+    )
+    print(format_table(LAYER_HEADERS, model_layer_rows(result)))
+    print()
+    if args.moe_breakdown:
+        print(format_overlap_report(result))
         print()
-        if args.moe_breakdown:
-            print(format_overlap_report(result))
-            print()
-        for phase, summary in model_phase_summary(result).items():
-            print(
-                f"phase {phase}: {summary['busy_cycles']:,.0f} busy cycles, "
-                f"{summary['energy_uj']:.1f} uJ "
-                f"({summary['energy_share_percent']:.1f}% of energy)"
-            )
-        headers, rows = compare_models([result])
-        print()
-        print(format_table(headers, rows))
-        stats = result.timing_cache
+    for phase, summary in model_phase_summary(result).items():
         print(
-            f"\ntiming cache: {stats.get('hits', 0)} hits, {stats.get('misses', 0)} misses "
-            f"({len(timing_cache())} entries in process)"
+            f"phase {phase}: {summary['busy_cycles']:,.0f} busy cycles, "
+            f"{summary['energy_uj']:.1f} uJ "
+            f"({summary['energy_share_percent']:.1f}% of energy)"
         )
+    headers, rows = compare_models([result])
+    print()
+    print(format_table(headers, rows))
+    stats = result.timing_cache
+    print(
+        f"\ntiming cache: {stats.get('hits', 0)} hits, {stats.get('misses', 0)} misses "
+        f"({len(timing_cache())} entries in process)"
+    )
     _report_observability(args, result, recorder, profiler)
 
 
@@ -361,12 +350,9 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     )
     if args.json:
         _print_run_json(result, serving_latency_report, serving_perf_stats)
-    else:
-        _print_serve_text(args, result)
-    _report_observability(args, result, recorder, profiler)
+        _report_observability(args, result, recorder, profiler)
+        return
 
-
-def _print_serve_text(args: argparse.Namespace, result) -> None:
     print(
         f"{result.trace} on {result.design_name}"
         + (" (heterogeneous dual unit)" if result.heterogeneous else "")
@@ -376,14 +362,7 @@ def _print_serve_text(args: argparse.Namespace, result) -> None:
     headers = REQUEST_HEADERS + ["disposition"] if result.control_active else REQUEST_HEADERS
     print(format_table(headers, serving_request_rows(result)))
     print()
-    if args.latency_report:
-        # The report carries the makespan/batch/throughput header, the policy
-        # line and the memo / epoch-compression lines.
-        print(format_latency_report(result))
-        print()
-        print(f"energy: {result.energy_uj:.1f} uJ")
-        return
-    if result.control_active:
+    if result.control_active and not args.latency_report:
         dispositions = "  ".join(
             f"{name} {count}" for name, count in result.dispositions.items()
         )
@@ -391,28 +370,36 @@ def _print_serve_text(args: argparse.Namespace, result) -> None:
             f"policy {result.policy}: goodput {result.goodput:.3f} "
             f"({dispositions}; {result.preemption_count} preemptions)"
         )
-    print(
-        f"makespan {result.total_cycles:,} cycles "
-        f"({result.serving_cycles:,} serving), mean batch {result.mean_batch:.2f}, "
-        f"{result.tokens_per_kilocycle:.2f} tokens/kcycle, "
-        f"{result.energy_uj:.1f} uJ"
-    )
-    stats = result.timing_cache
-    memo = result.iteration_memo
-    print(
-        f"iteration memo: {memo.get('hits', 0)} hits, {memo.get('misses', 0)} misses; "
-        f"timing cache: {stats.get('hits', 0)} hits, {stats.get('misses', 0)} misses "
-        f"({len(timing_cache())} entries in process)"
-    )
-    epochs = result.epochs
-    if epochs.get("enabled"):
-        executed = int(epochs.get("executed_iterations", 0))
-        extrapolated = int(epochs.get("extrapolated_iterations", 0))
+    if args.latency_report:
+        # The report already carries the makespan/batch/throughput header and
+        # the iteration-memo and epoch-compression lines.
+        print(format_latency_report(result))
+        print()
+        print(f"energy: {result.energy_uj:.1f} uJ")
+    else:
         print(
-            f"epoch compression: {epochs.get('epochs', 0)} epochs, "
-            f"{epochs.get('episode_runs', 0)} episode runs; "
-            f"{extrapolated}/{executed + extrapolated} iterations extrapolated"
+            f"makespan {result.total_cycles:,} cycles "
+            f"({result.serving_cycles:,} serving), mean batch {result.mean_batch:.2f}, "
+            f"{result.tokens_per_kilocycle:.2f} tokens/kcycle, "
+            f"{result.energy_uj:.1f} uJ"
         )
+        stats = result.timing_cache
+        memo = result.iteration_memo
+        print(
+            f"iteration memo: {memo.get('hits', 0)} hits, {memo.get('misses', 0)} misses; "
+            f"timing cache: {stats.get('hits', 0)} hits, {stats.get('misses', 0)} misses "
+            f"({len(timing_cache())} entries in process)"
+        )
+        epochs = result.epochs
+        if epochs.get("enabled"):
+            executed = int(epochs.get("executed_iterations", 0))
+            extrapolated = int(epochs.get("extrapolated_iterations", 0))
+            print(
+                f"epoch compression: {epochs.get('epochs', 0)} epochs, "
+                f"{epochs.get('episode_runs', 0)} episode runs; "
+                f"{extrapolated}/{executed + extrapolated} iterations extrapolated"
+            )
+    _report_observability(args, result, recorder, profiler)
 
 
 def _cmd_fleet(args: argparse.Namespace) -> None:
@@ -446,29 +433,31 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
     )
     if args.json:
         _print_run_json(result, fleet_report, fleet_perf_stats)
+        _report_observability(args, result, recorder, profiler)
+        return
+
+    print(
+        f"{result.trace} across {len(result.replicas)} replicas "
+        f"({', '.join(result.fleet)}) under {result.policy}"
+        + (" (heterogeneous dual unit)" if result.heterogeneous else "")
+        + f": {len(result.requests)} requests\n"
+    )
+    print(format_table(FLEET_REQUEST_HEADERS, fleet_request_rows(result)))
+    print()
+    if args.latency_report:
+        print(format_fleet_report(result))
     else:
-        print(
-            f"{result.trace} across {len(result.replicas)} replicas "
-            f"({', '.join(result.fleet)}) under {result.policy}"
-            + (" (heterogeneous dual unit)" if result.heterogeneous else "")
-            + f": {len(result.requests)} requests\n"
+        dispositions = "  ".join(
+            f"{name} {count}" for name, count in result.dispositions.items()
         )
-        print(format_table(FLEET_REQUEST_HEADERS, fleet_request_rows(result)))
-        print()
-        if args.latency_report:
-            print(format_fleet_report(result))
-        else:
-            dispositions = "  ".join(
-                f"{name} {count}" for name, count in result.dispositions.items()
-            )
-            print(
-                f"goodput {result.goodput:.3f}  availability {result.availability:.3f}  "
-                f"({dispositions})\n"
-                f"makespan {result.total_cycles:,} cycles; "
-                f"{result.dispatch_count} dispatches "
-                f"({result.failed_dispatches} failed), "
-                f"{result.retry_count} retries, {result.failover_count} failovers"
-            )
+        print(
+            f"goodput {result.goodput:.3f}  availability {result.availability:.3f}  "
+            f"({dispositions})\n"
+            f"makespan {result.total_cycles:,} cycles; "
+            f"{result.dispatch_count} dispatches "
+            f"({result.failed_dispatches} failed), "
+            f"{result.retry_count} retries, {result.failover_count} failovers"
+        )
     _report_observability(args, result, recorder, profiler)
 
 
@@ -503,12 +492,8 @@ def _add_design_flag(parser: argparse.ArgumentParser) -> None:
 def _add_run_flags(
     parser: argparse.ArgumentParser, *, report: str, listing: str, hetero: str, schedule: str
 ) -> None:
-    """Flags every simulation subcommand (``model``/``serve``/``fleet``) takes.
-
-    The keyword arguments finish each command's help texts: what ``--json``
-    emits, the ``--list`` help, what ``--hetero`` switches on and which
-    schedule ``--trace-out`` records.
-    """
+    """Flags of ``model``/``serve``/``fleet``; the keywords are the
+    command's own help phrases."""
     parser.add_argument("--hetero", action="store_true", help=hetero)
     parser.add_argument("--json", action="store_true", help=f"emit the full JSON {report}")
     parser.add_argument("--list", action="store_true", help=listing)
@@ -527,12 +512,8 @@ def _add_serving_flags(
     parser: argparse.ArgumentParser, *, trace: str, policy: str, policy_help: str,
     latency: str, inject: str,
 ) -> None:
-    """Flags ``serve`` and ``fleet`` share.
-
-    ``trace`` and ``policy`` are the command's defaults; ``policy_help``,
-    ``latency`` and ``inject`` describe its policy names, what
-    ``--latency-report`` prints and its fault-plan grammar.
-    """
+    """Flags of ``serve``/``fleet``: ``trace`` and ``policy`` are the
+    command's defaults, the other keywords its own help phrases."""
     parser.add_argument("--trace", default=trace, help="serving-trace zoo entry (see --list)")
     parser.add_argument("--policy", default=policy, help=policy_help)
     parser.add_argument("--latency-report", action="store_true", help=f"print {latency}")
@@ -682,7 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for the router's jittered backoff and "
                             "power-of-two sampling")
     _add_run_flags(
-        fleet, report="fleet report", listing="list traces, fleet presets and router policies; exit",
+        fleet, report="fleet report",
+        listing="list traces, fleet presets and router policies; exit",
         hetero="every replica uses the dual-matrix-unit configuration",
         schedule="fleet schedule (router decisions plus one track per replica)",
     )

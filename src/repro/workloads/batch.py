@@ -272,11 +272,9 @@ class ResultCache:
         try:
             with path.open("r", encoding="utf-8") as handle:
                 return json.load(handle)
-        except FileNotFoundError:
-            return None
         except (json.JSONDecodeError, OSError):
-            # A torn write or corrupted entry is treated as a miss; the
-            # recompute below overwrites it atomically.
+            # Absent, torn or corrupted entries are all misses; the
+            # recompute overwrites them atomically.
             return None
 
     def put(self, key: str, result: Dict[str, object]) -> None:
