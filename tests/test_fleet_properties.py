@@ -43,16 +43,16 @@ SLOS = (None, resolve_slo("standard"), resolve_slo("interactive"))
 
 
 @st.composite
-def fleet_traces(draw):
-    count = draw(st.integers(1, 4))
-    arrivals = sorted(draw(st.integers(0, 200_000)) for _ in range(count))
+def fleet_traces(draw, max_requests=4, max_decode_steps=3, max_arrival=200_000):
+    count = draw(st.integers(1, max_requests))
+    arrivals = sorted(draw(st.integers(0, max_arrival)) for _ in range(count))
     requests = tuple(
         RequestSpec(
             request_id=f"p{index}",
             model=TINY_GPT,
             arrival_cycle=arrival,
             prompt_len=32,
-            decode_steps=draw(st.integers(1, 3)),
+            decode_steps=draw(st.integers(1, max_decode_steps)),
             slo=SLOS[draw(st.integers(0, len(SLOS) - 1))],
         )
         for index, arrival in enumerate(arrivals)
