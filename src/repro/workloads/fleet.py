@@ -24,11 +24,16 @@ Scale contract: each replica steps the same
 :class:`~repro.workloads.serving.ReplicaEngine` a single-SoC ``serve`` run
 steps, *incrementally* between router events (arrivals, fault transitions,
 health-check beliefs, retries).  Replicas share the process-wide iteration
-memo; on memo hits with a stable composition a replica extrapolates whole
-epochs up to the next fleet event barrier
-(:func:`repro.workloads.epochs.epoch_horizon`), which is what keeps
+memo; on memo hits with a stable composition a replica extrapolates a whole
+epoch up to its own next transient -- a finish or a KV-bucket crossing
+(:func:`repro.workloads.epochs.epoch_horizon`) -- and runs straight through
+router events that do not touch it.  An event
+that does (a dispatch to the replica, or a fault window opening or closing
+on it) splits the epoch at the event
+(:meth:`~repro.workloads.serving.ReplicaEngine.split`), so it lands between
+iterations exactly as under one-at-a-time stepping.  This is what keeps
 million-request fleet sweeps tractable.  A one-replica fleet without faults
-therefore reproduces ``run_serving`` exactly.
+reproduces ``run_serving`` exactly.
 
 Every request ends in exactly one terminal disposition --
 ``met``/``violated`` (finished, judged against its SLO), ``shed`` (dropped
@@ -203,10 +208,14 @@ class _Replica:
     The engine owns the replica's clock, batch, stepping and accounting;
     the replica adds what only a fleet has: the dispatched-but-unadmitted
     ``pending`` queue, crash/partition/slow truth, and in-flight parking.
-    It advances up to an externally supplied fleet-event barrier; an
-    iteration whose end would cross the barrier stays begun (iterations
-    are atomic) and retires on the next advance, or is aborted with its
-    work discarded if the replica crashes first.
+    It advances up to the router's clock; a step whose end would cross it
+    stays begun and retires on a later advance.  The router splits a begun
+    epoch when an event touches this replica, leaving the one iteration
+    that straddles the event begun (iterations are atomic); a crash aborts
+    that iteration and discards its work.  Router reads need no split:
+    ``outstanding`` and ``resident_kv`` are constant inside a begun step,
+    because requests finish only at its end and an epoch never crosses a
+    KV bucket.
     """
 
     def __init__(
@@ -301,14 +310,12 @@ class _Replica:
                     )
                     fr.needs_reprefill = False
                     self.by_id[fr.spec.request_id] = fr
-            # Unlike a single-SoC serve (where an arrival waits for the
-            # boundary), a fleet event must land *between* iterations, so
-            # the barrier caps epochs instead of the next arrival.
+            # The epoch runs to this replica's own next transient; a router
+            # event that touches the replica splits it (ReplicaEngine.split).
             with phase("fleet.iteration", replica=self.index, batch=len(engine.active)):
                 engine.begin(
                     hold=bool(self.pending),
                     next_arrival=None,
-                    barrier=limit,
                     duration_scale=self.slow_scale,
                 )
 
@@ -749,6 +756,7 @@ class _FleetRun:
         rep = self.policy.choose(candidates, fr, now)
         fr.attempts += 1
         if rep.reachable:
+            rep.engine.split(now)
             rep.pending.append((now, fr))
             rep.dispatched += 1
             fr.replica = rep.index
@@ -833,6 +841,7 @@ class _FleetRun:
 
     def _on_fault_start(self, event: ReplicaFaultEvent, now: int) -> None:
         rep = self.replicas[event.replica]
+        rep.engine.split(now)
         if self.recorder is not None:
             self.recorder.add_span(
                 event.kind,
@@ -865,6 +874,7 @@ class _FleetRun:
 
     def _on_fault_end(self, event: ReplicaFaultEvent, now: int) -> None:
         rep = self.replicas[event.replica]
+        rep.engine.split(now)
         if event.kind == "crash":
             rep.recover(now)
         elif event.kind == "slow":

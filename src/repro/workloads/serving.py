@@ -559,9 +559,10 @@ class ReplicaEngine:
     the totals and emits its trace spans.
 
     :meth:`ServingScheduler.run` retires every step as soon as it begins.
-    A fleet replica may hold a begun iteration in flight across a fleet
-    event and :meth:`abort` it when the replica crashes, which is why
-    spans are only emitted at retirement.
+    A fleet replica holds a begun step in flight across router events.
+    An event that touches the replica cuts its epoch (:meth:`split`), and
+    a crash discards the step (:meth:`abort`).  So spans and memo hits are
+    only accounted as iterations retire or abort.
     """
 
     def __init__(
@@ -659,15 +660,15 @@ class ReplicaEngine:
         *,
         hold: bool,
         next_arrival: Optional[int],
-        barrier: float = math.inf,
         duration_scale: float = 1.0,
     ) -> None:
         """Start the batch's next step at ``now``.
 
-        ``hold`` (requests wait to join) rules out an epoch, ``next_arrival``
-        ends one at the boundary the arrival joins, and ``barrier`` caps it
-        to iterations that end by then: a fleet event must land between
-        iterations.  A spiked or slowed step (``duration_scale != 1``)
+        ``hold`` (requests wait to join) rules out an epoch, and
+        ``next_arrival`` ends one at the boundary the arrival joins.  An
+        event that must land between iterations (a fleet router touching
+        this replica) cuts the begun epoch with :meth:`split`.  A spiked or
+        slowed step (``duration_scale != 1``)
         bypasses the memo in both directions -- a clean replay would dodge
         the fault, and the scaled outcome must not leak into clean steps --
         so memo on/off runs stay byte-identical under faults.
@@ -726,9 +727,9 @@ class ReplicaEngine:
             # Epoch extrapolation: on a memo hit with nobody waiting, no
             # pending penalties and no stall, the composition provably
             # recurs until the first transient (soonest finish, KV-bucket
-            # crossing, next arrival, injected fault or fleet barrier), and
-            # every per-iteration quantity is constant -- so the whole run
-            # is one arithmetic step, mirroring execute_flash_loop's KV-tile
+            # crossing, next arrival or injected fault), and every
+            # per-iteration quantity is constant -- so the whole run is one
+            # arithmetic step, mirroring execute_flash_loop's KV-tile
             # extrapolation one level down.
             span = outcome.span_cycles
             if self.compress and stall == 0 and not hold and span > 0 and not any(penalties):
@@ -744,16 +745,6 @@ class ReplicaEngine:
                 )
                 if horizon > 1 and injector is not None:
                     horizon = 1 + clean_fault_run(injector, index + 1, horizon - 1)
-                if horizon > 1 and barrier != math.inf:
-                    horizon = max(1, min(horizon, int((barrier - now) // span)))
-            self.memo_stats["hits"] += horizon
-            # Replaying the outcome skips the per-kernel cache probes the
-            # execution would have performed (all hits on a warm cache);
-            # credit them so memoized and executing runs report the same
-            # lookup totals.
-            lookups = horizon * outcome.cache_lookups
-            self.cache.credit_hits(lookups)
-            self.cache_stats["hits"] += lookups
             self._memo_state = "replay"
             if recorder is not None:
                 self._shape = self.span_shapes.get(key)
@@ -773,12 +764,54 @@ class ReplicaEngine:
                     effective = max(effective, end + state.pending_penalty)
             self.step_cycles = effective + stall
 
+    def split(self, at: int) -> None:
+        """Cut the begun epoch at ``at``, a cycle inside it.
+
+        The epoch's iterations that end by ``at`` retire; the one straddling
+        ``at`` stays begun as a one-iteration memo replay, so an event at
+        ``at`` takes effect at the next iteration boundary, exactly as if
+        every iteration had been stepped alone.  The iterations after the
+        straddler are dropped; the next :meth:`begin` re-derives them.
+        No-op unless an epoch is begun.
+        """
+        if self.outcome is None or self.horizon == 1:
+            return
+        outcome, key, shape = self.outcome, self.key, self._shape
+        span = outcome.span_cycles
+        done = (at - self.now) // span
+        if done:
+            self.horizon = done
+            self.step_cycles = done * span
+            self.retire()
+            self.outcome, self.key, self._shape = outcome, key, shape
+        self.horizon = 1
+        self.step_cycles = span
+
     def abort(self) -> None:
-        """Discard the begun step (a crash): no state, totals or spans change."""
+        """Discard the begun step (a crash): no batch state, totals or spans change.
+
+        Only a replay's memo and timing-cache hits stand: the step was
+        looked up before the crash discarded it.
+        """
         if self.outcome is not None:
+            if self._memo_state == "replay":
+                self._credit_replay(self.horizon)
             self.aborted_iterations += 1
             self.outcome = None
             self._shape = None
+
+    def _credit_replay(self, count: int) -> None:
+        """Credit ``count`` replayed iterations of the begun outcome.
+
+        Replaying the outcome skips the per-kernel cache probes the
+        execution would have performed (all hits on a warm cache); crediting
+        them keeps memoized and executing runs reporting the same lookup
+        totals.
+        """
+        self.memo_stats["hits"] += count
+        lookups = count * self.outcome.cache_lookups
+        self.cache.credit_hits(lookups)
+        self.cache_stats["hits"] += lookups
 
     def retire(self) -> Optional[List[_InFlight]]:
         """Apply the begun step; returns the requests it finished, if any.
@@ -794,6 +827,8 @@ class ReplicaEngine:
         index = self.iterations
         recorder = self.recorder
         finished: Optional[List[_InFlight]] = None
+        if self._memo_state == "replay":
+            self._credit_replay(horizon)
         if horizon > 1:
             span = outcome.span_cycles
             for state, end in zip(active, outcome.entry_end_cycles):
