@@ -27,12 +27,11 @@ health-check beliefs, retries).  Replicas share the process-wide iteration
 memo; on memo hits with a stable composition a replica extrapolates a whole
 epoch up to its own next transient -- a finish or a KV-bucket crossing
 (:func:`repro.workloads.epochs.epoch_horizon`) -- and runs straight through
-router events that do not touch it.  An event
-that does (a dispatch to the replica, or a fault window opening or closing
-on it) splits the epoch at the event
-(:meth:`~repro.workloads.serving.ReplicaEngine.split`), so it lands between
-iterations exactly as under one-at-a-time stepping.  This is what keeps
-million-request fleet sweeps tractable.  A one-replica fleet without faults
+router events that do not touch it.  An event that does (a dispatch to the
+replica, or a fault window opening or closing on it) splits the epoch
+(:meth:`~repro.workloads.serving.ReplicaEngine.split`), so the event lands
+between iterations exactly as under one-at-a-time stepping.  This is what
+keeps million-request fleet sweeps tractable.  A one-replica fleet without faults
 reproduces ``run_serving`` exactly.
 
 Every request ends in exactly one terminal disposition --
@@ -310,8 +309,6 @@ class _Replica:
                     )
                     fr.needs_reprefill = False
                     self.by_id[fr.spec.request_id] = fr
-            # The epoch runs to this replica's own next transient; a router
-            # event that touches the replica splits it (ReplicaEngine.split).
             with phase("fleet.iteration", replica=self.index, batch=len(engine.active)):
                 engine.begin(
                     hold=bool(self.pending),

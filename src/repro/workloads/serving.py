@@ -668,10 +668,10 @@ class ReplicaEngine:
         ``next_arrival`` ends one at the boundary the arrival joins.  An
         event that must land between iterations (a fleet router touching
         this replica) cuts the begun epoch with :meth:`split`.  A spiked or
-        slowed step (``duration_scale != 1``)
-        bypasses the memo in both directions -- a clean replay would dodge
-        the fault, and the scaled outcome must not leak into clean steps --
-        so memo on/off runs stay byte-identical under faults.
+        slowed step (``duration_scale != 1``) bypasses the memo in both
+        directions -- a clean replay would dodge the fault, and the scaled
+        outcome must not leak into clean steps -- so memo on/off runs stay
+        byte-identical under faults.
         """
         scheduler = self.scheduler
         trace = self.trace
@@ -788,10 +788,11 @@ class ReplicaEngine:
         self.step_cycles = span
 
     def abort(self) -> None:
-        """Discard the begun step (a crash): no batch state, totals or spans change.
+        """Discard the begun step (a crash).
 
-        Only a replay's memo and timing-cache hits stand: the step was
-        looked up before the crash discarded it.
+        No batch state, totals or spans change.  Only a replay's memo and
+        timing-cache hits stand: the step was looked up before the crash
+        discarded it.
         """
         if self.outcome is not None:
             if self._memo_state == "replay":
