@@ -102,14 +102,11 @@ def serving_latency_report(result: ServingRunResult) -> Dict[str, object]:
     # Percentiles cover finished requests only: a shed request has no
     # latency, and folding zeros in would *flatter* the percentiles exactly
     # when the system is degrading.  Goodput accounts for the unfinished.
-    finished = [request for request in result.requests if request.finished]
-    latencies = [float(request.latency_cycles) for request in finished]
-    ttfts = [float(request.ttft_cycles) for request in finished]
-    queueing = [
-        float(request.queueing_cycles)
-        for request in result.requests
-        if request.queueing_cycles is not None
-    ]
+    # The samples come straight from the stamp columns, in trace order.
+    table = result.requests
+    latencies = table.cycles_from_arrival(table.finish)
+    ttfts = table.cycles_from_arrival(table.first_token, table.finished)
+    queueing = table.cycles_from_arrival(table.admitted)
     report: Dict[str, object] = {
         "kind": "serving_latency",
         "trace": result.trace,
@@ -216,7 +213,7 @@ def format_latency_report(result: ServingRunResult) -> str:
     # Total degradation (every request shed / timed out) leaves the latency
     # and TTFT summaries empty; say so instead of letting the all-zero
     # percentiles read as a suspiciously fast run.
-    if report["requests"] and not any(request.finished for request in result.requests):
+    if report["requests"] and not result.requests.finished.any():
         lines.insert(
             1,
             "no request finished (all shed or timed out): latency and ttft "

@@ -197,6 +197,171 @@ class RequestResult:
         return encoded
 
 
+#: Stamp-column value standing for ``None``: every real stamp is >= 0.
+_NO_STAMP = -1
+#: Disposition column codes index this tuple; the last code means "none".
+_DISPOSITION_OF = DISPOSITIONS + (None,)
+_NO_DISPOSITION = len(DISPOSITIONS)
+
+
+def _stamp(cycle: Optional[int]) -> int:
+    return _NO_STAMP if cycle is None else cycle
+
+
+class RequestTable(Sequence):
+    """A serving run's per-request results, stored as stamp columns.
+
+    One row per request, in the trace's arrival order.  The trace's
+    :class:`~repro.workloads.graph.RequestSpec` tuple is held by reference
+    and supplies id, prompt length, decode budget, model family and SLO
+    class; the lifecycle stamps live in int64 columns (``-1`` encodes
+    ``None``) and the disposition in a small code column.  So an episode
+    run fills its rows by vector offset from the arrivals, and a run
+    allocates no object per request.
+
+    Behaves like the ``List[RequestResult]`` it replaces: ``len``,
+    indexing (negative too), slicing and iteration build each
+    :class:`RequestResult` on access, byte-identical to the exact loop's.
+    Records are fresh values, not cached: mutating one does not write back.
+    Equality is element-wise against any sequence of records.
+    """
+
+    __slots__ = (
+        "specs",
+        "arrival",
+        "admitted",
+        "first_token",
+        "finish",
+        "terminal",
+        "preemptions",
+        "disposition",
+    )
+
+    def __init__(self, specs: Sequence[RequestSpec]) -> None:
+        count = len(specs)
+        self.specs = specs
+        self.arrival = np.zeros(count, dtype=np.int64)
+        self.admitted = np.full(count, _NO_STAMP, dtype=np.int64)
+        self.first_token = np.full(count, _NO_STAMP, dtype=np.int64)
+        self.finish = np.full(count, _NO_STAMP, dtype=np.int64)
+        self.terminal = np.full(count, _NO_STAMP, dtype=np.int64)
+        self.preemptions = np.zeros(count, dtype=np.int64)
+        self.disposition = np.full(count, _NO_DISPOSITION, dtype=np.int8)
+
+    def set_row(
+        self,
+        row: int,
+        admitted: Optional[int],
+        first_token: Optional[int],
+        finish: Optional[int],
+        disposition: Optional[str],
+        preemptions: int,
+        terminal: Optional[int],
+    ) -> None:
+        """Store one exactly stepped request's stamps."""
+        self.arrival[row] = self.specs[row].arrival_cycle
+        self.admitted[row] = _stamp(admitted)
+        self.first_token[row] = _stamp(first_token)
+        self.finish[row] = _stamp(finish)
+        self.terminal[row] = _stamp(terminal)
+        self.preemptions[row] = preemptions
+        self.disposition[row] = _DISPOSITION_OF.index(disposition)
+
+    @property
+    def finished(self) -> np.ndarray:
+        """Row mask of the requests that finished."""
+        return self.finish != _NO_STAMP
+
+    def cycles_from_arrival(
+        self, stamps: np.ndarray, rows: Optional[np.ndarray] = None
+    ) -> List[float]:
+        """``stamps - arrival`` as floats, in trace order.
+
+        Covers ``rows`` (a row mask), by default every row whose stamp is
+        set.  The values are Python floats, so a builtin left-fold mean over
+        them matches one over the records' cycle properties to the last bit.
+        """
+        if rows is None:
+            rows = stamps != _NO_STAMP
+        return (stamps[rows] - self.arrival[rows]).astype(np.float64).tolist()
+
+    def dispositions(self) -> Dict[str, int]:
+        """The disposition census: every row lands in exactly one bucket."""
+        counts = np.bincount(self.disposition, minlength=len(_DISPOSITION_OF))
+        return {name: int(counts[code]) for code, name in enumerate(DISPOSITIONS)}
+
+    def _record(
+        self,
+        spec: RequestSpec,
+        admitted: int,
+        first_token: int,
+        finish: int,
+        terminal: int,
+        preemptions: int,
+        code: int,
+    ) -> RequestResult:
+        disposition = _DISPOSITION_OF[code]
+        return RequestResult(
+            request_id=spec.request_id,
+            arrival_cycle=spec.arrival_cycle,
+            admitted_cycle=None if admitted == _NO_STAMP else admitted,
+            first_token_cycle=None if first_token == _NO_STAMP else first_token,
+            finish_cycle=None if finish == _NO_STAMP else finish,
+            prompt_len=spec.prompt_len,
+            decode_steps=spec.decode_steps,
+            model_family=spec.model.family,
+            disposition=disposition,
+            # Control-plane runs give every row a disposition; default runs
+            # report no SLO class, as the exact loop always has.
+            slo_class=(
+                spec.slo.name if disposition is not None and spec.slo is not None else None
+            ),
+            preemptions=preemptions,
+            terminal_cycle=None if terminal == _NO_STAMP else terminal,
+        )
+
+    def _columns(self, rows: Union[int, slice]) -> tuple:
+        return (
+            self.admitted[rows],
+            self.first_token[rows],
+            self.finish[rows],
+            self.terminal[rows],
+            self.preemptions[rows],
+            self.disposition[rows],
+        )
+
+    def __len__(self) -> int:
+        return len(self.specs)
+
+    def __iter__(self):
+        columns = (column.tolist() for column in self._columns(slice(None)))
+        for row in zip(self.specs, *columns):
+            yield self._record(*row)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[row] for row in range(*index.indices(len(self)))]
+        count = len(self)
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError(index)
+        values = (value.item() for value in self._columns(index))
+        return self._record(self.specs[index], *values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"RequestTable({len(self)} requests)"
+
+
 @dataclass
 class ServingRunResult:
     """Outcome of one trace on one design under continuous batching.
@@ -213,7 +378,11 @@ class ServingRunResult:
     context_bucket: int
     total_cycles: int
     serving_cycles: int
-    requests: List[RequestResult]
+    #: Per-request records, in arrival order.  :meth:`ServingScheduler.run`
+    #: returns a :class:`RequestTable` over stamp columns, which builds
+    #: each record on access: records are fresh values, and mutating one
+    #: does not write back.
+    requests: Sequence[RequestResult]
     #: Per-iteration records.  Under epoch compression this is an
     #: :class:`~repro.workloads.epochs.IterationTimeline` holding
     #: extrapolated runs compressed; it behaves exactly like the list it
@@ -480,7 +649,7 @@ def _episode_run_length(
 
 
 def _serving_metrics(
-    requests: List[RequestResult],
+    request_count: int,
     iterations: IterationTimeline,
     engine: ReplicaEngine,
     control_active: bool,
@@ -498,7 +667,7 @@ def _serving_metrics(
     process-dependent and registered diagnostic.
     """
     metrics = MetricsRegistry()
-    metrics.counter("serving.requests").inc(len(requests))
+    metrics.counter("serving.requests").inc(request_count)
     metrics.counter("serving.iterations").inc(len(iterations))
     metrics.counter("serving.decode_steps").inc(iterations.decode_steps)
     metrics.counter("serving.kernels").inc(engine.kernel_count)
@@ -1285,10 +1454,10 @@ class ServingScheduler:
         learn_key: Optional[tuple] = None
         learn_rid: Optional[str] = None
         learn_segments: List[list] = []
-        # Episode replay bookkeeping: (first pending index, request count,
-        # template) per run, merged positionally with the exact results
-        # after the loop (``pending`` preserves trace order).
-        episode_meta: List[Tuple[int, int, EpisodeTemplate]] = []
+        # Episode replay bookkeeping: (first pending index, run) per run,
+        # filled into the result table's rows after the loop (``pending``
+        # preserves trace order).
+        episode_meta: List[Tuple[int, EpisodeRun]] = []
         # Numpy views over the pending stream for the episode run-length
         # walk, built lazily on the first template match.
         arrivals_np: Optional[np.ndarray] = None
@@ -1372,15 +1541,14 @@ class ServingScheduler:
                         )
                     if count:
                         run_arrivals = arrivals_np[pend_i : pend_i + count]
-                        iterations.append(
-                            EpisodeRun(
-                                index=len(iterations),
-                                template=template,
-                                arrivals=run_arrivals,
-                                requests=pending[pend_i : pend_i + count],
-                            )
+                        run = EpisodeRun(
+                            index=len(iterations),
+                            template=template,
+                            arrivals=run_arrivals,
+                            requests=pending[pend_i : pend_i + count],
                         )
-                        episode_meta.append((pend_i, count, template))
+                        iterations.append(run)
+                        episode_meta.append((pend_i, run))
                         replay_iters = count * template.total_iterations
                         engine.iterations += replay_iters
                         engine.memo_stats["hits"] += replay_iters
@@ -1543,133 +1711,70 @@ class ServingScheduler:
                     learn_finalize(done[0])
 
         specs = trace.sorted_requests()
-        requests: List[RequestResult] = []
+        requests = RequestTable(specs)
+        exact_rows = np.ones(len(specs), dtype=bool)
         zero_wait = 0
         queue_waits: List[int] = []
-        meta_pos = 0
-        position = 0
-        total_requests = len(specs)
-        while position < total_requests:
-            if meta_pos < len(episode_meta) and episode_meta[meta_pos][0] == position:
-                # Episode-replayed requests: ``pending`` preserved trace
-                # order, so each run covers a contiguous span of the sorted
-                # stream and its stamps are pure offsets from the arrival.
-                start, count, template = episode_meta[meta_pos]
-                meta_pos += 1
-                ttft = template.first_token_end
-                latency = template.finish_offset
-                zero_wait += count
-                run_specs = specs[start : start + count]
-                head = run_specs[0]
-                # Prototype with every run-constant field resolved; the
-                # per-request loop below only patches the five that vary.
-                # This is the per-request hot path of a compressed
-                # million-request run, hence the dataclass-__init__ bypass.
-                proto = {
-                    "request_id": "",
-                    "arrival_cycle": 0,
-                    "admitted_cycle": 0,
-                    "first_token_cycle": 0,
-                    "finish_cycle": 0,
-                    "prompt_len": head.prompt_len,
-                    "decode_steps": head.decode_steps,
-                    "model_family": head.model.family,
-                    "disposition": None,
-                    "slo_class": None,
-                    "preemptions": 0,
-                    "terminal_cycle": None,
-                }
-                disposition_for: Dict[object, Optional[str]] = {}
-                new_result = RequestResult.__new__
-                append = requests.append
-                for request in run_specs:
-                    arrival = request.arrival_cycle
-                    finish = arrival + latency
-                    fields = dict(proto)
-                    fields["request_id"] = request.request_id
-                    fields["arrival_cycle"] = arrival
-                    fields["admitted_cycle"] = arrival
-                    fields["first_token_cycle"] = arrival + ttft
-                    fields["finish_cycle"] = finish
-                    if control_active:
-                        # ttft/latency (and decode budget) are constant
-                        # across the run, so the verdict only varies with
-                        # the SLO class.
-                        if request.slo in disposition_for:
-                            disposition = disposition_for[request.slo]
-                        else:
-                            disposition = evaluate_disposition(request, ttft, latency)
-                            disposition_for[request.slo] = disposition
-                        fields["disposition"] = disposition
-                        fields["slo_class"] = (
-                            request.slo.name if request.slo is not None else None
+        for start, run in episode_meta:
+            # ``pending`` preserved trace order, so each run covers a
+            # contiguous span of rows, and its stamps are offsets from the
+            # arrivals that are constant across the run.
+            template, arrivals = run.template, run.arrivals
+            ttft, latency = template.first_token_end, template.finish_offset
+            rows = slice(start, start + run.request_count)
+            exact_rows[rows] = False
+            requests.arrival[rows] = arrivals
+            requests.admitted[rows] = arrivals
+            requests.first_token[rows] = arrivals + ttft
+            requests.finish[rows] = arrivals + latency
+            zero_wait += run.request_count
+            if control_active:
+                requests.terminal[rows] = requests.finish[rows]
+                # The decode budget is constant across the run too, so the
+                # verdict only varies with the SLO class.
+                verdicts: Dict[object, int] = {}
+                codes = []
+                for request in run.requests:
+                    code = verdicts.get(request.slo)
+                    if code is None:
+                        code = verdicts[request.slo] = _DISPOSITION_OF.index(
+                            evaluate_disposition(request, ttft, latency)
                         )
-                        fields["terminal_cycle"] = finish
-                    result = new_result(RequestResult)
-                    result.__dict__ = fields
-                    append(result)
-                position += count
-                continue
-            request = specs[position]
-            position += 1
-            rid = request.request_id
-            slo_name = request.slo.name if request.slo is not None else None
-            if rid in finished:
-                state = finished[rid]
-                if state.admitted_cycle is not None:
-                    queue_waits.append(state.admitted_cycle - request.arrival_cycle)
-                disposition = (
-                    evaluate_disposition(
-                        request,
-                        state.first_token_cycle - request.arrival_cycle,
-                        state.finish_cycle - request.arrival_cycle,
+                    codes.append(code)
+                requests.disposition[rows] = codes
+        for row in np.flatnonzero(exact_rows).tolist():
+            request = specs[row]
+            arrival = request.arrival_cycle
+            # Finished (_InFlight) and terminated (_Queued) states carry the
+            # same admission, first-token and preemption fields.
+            state = finished.get(request.request_id)
+            if state is not None:
+                finish = state.finish_cycle
+                disposition = terminal = None
+                if control_active:
+                    disposition = evaluate_disposition(
+                        request, state.first_token_cycle - arrival, finish - arrival
                     )
-                    if control_active
-                    else None
-                )
-                requests.append(
-                    RequestResult(
-                        request_id=rid,
-                        arrival_cycle=request.arrival_cycle,
-                        admitted_cycle=state.admitted_cycle,
-                        first_token_cycle=state.first_token_cycle,
-                        finish_cycle=state.finish_cycle,
-                        prompt_len=request.prompt_len,
-                        decode_steps=request.decode_steps,
-                        model_family=request.model.family,
-                        disposition=disposition,
-                        slo_class=slo_name if control_active else None,
-                        preemptions=state.preemptions,
-                        terminal_cycle=state.finish_cycle if control_active else None,
-                    )
-                )
+                    terminal = finish
             else:
-                entry, disposition, cycle = terminated[rid]
-                if entry.admitted_cycle is not None:
-                    queue_waits.append(entry.admitted_cycle - request.arrival_cycle)
-                requests.append(
-                    RequestResult(
-                        request_id=rid,
-                        arrival_cycle=request.arrival_cycle,
-                        admitted_cycle=entry.admitted_cycle,
-                        first_token_cycle=entry.first_token_cycle,
-                        finish_cycle=None,
-                        prompt_len=request.prompt_len,
-                        decode_steps=request.decode_steps,
-                        model_family=request.model.family,
-                        disposition=disposition,
-                        slo_class=slo_name,
-                        preemptions=entry.preemptions,
-                        terminal_cycle=cycle,
-                    )
-                )
+                state, disposition, terminal = terminated[request.request_id]
+                finish = None
+            requests.set_row(
+                row,
+                admitted=state.admitted_cycle,
+                first_token=state.first_token_cycle,
+                finish=finish,
+                disposition=disposition,
+                preemptions=state.preemptions,
+                terminal=terminal,
+            )
+            if state.admitted_cycle is not None:
+                queue_waits.append(state.admitted_cycle - arrival)
         goodput: Optional[float] = None
         dispositions: Dict[str, int] = {}
         if control_active:
-            dispositions = {name: 0 for name in DISPOSITIONS}
-            for result in requests:
-                dispositions[result.disposition] += 1
-            goodput = dispositions["met"] / len(requests) if requests else 0.0
+            dispositions = requests.dispositions()
+            goodput = dispositions["met"] / len(requests) if len(requests) else 0.0
         if recorder is not None:
             # Request lifecycle timeline: a queue span (arrival to admission)
             # followed by a decode span (admission to finish) that nests the
@@ -1725,7 +1830,7 @@ class ServingScheduler:
             iteration_memo=engine.memo_stats,
             epochs=epoch_stats,
             metrics=_serving_metrics(
-                requests, iterations, engine, control_active, goodput,
+                len(requests), iterations, engine, control_active, goodput,
                 dispositions, preemption_count, (zero_wait, queue_waits),
             ),
             policy=self.policy.name,
