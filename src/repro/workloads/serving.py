@@ -52,9 +52,11 @@ additionally inject kernel latency spikes, iteration stalls and arrival
 bursts, deterministically, to measure how gracefully each policy degrades.
 
 The result (:class:`ServingRunResult`) carries per-request records --
-arrival, admission, time to first token, finish -- from which the analysis
-layer (:mod:`repro.analysis.serving`) derives latency percentiles, TTFT,
-queueing delay, goodput and per-unit occupancy under load.
+arrival, admission, time to first token, finish -- as stamp columns
+(:class:`RequestTable`) that build each record on access.  From them the
+analysis layer (:mod:`repro.analysis.serving`) derives latency
+percentiles, TTFT, queueing delay, goodput and per-unit occupancy under
+load.
 
 >>> from repro.workloads import run_serving
 >>> result = run_serving("poisson-mixed", "virgo")
@@ -355,11 +357,6 @@ class RequestTable(Sequence):
         return len(self) == len(other) and all(
             mine == theirs for mine, theirs in zip(self, other)
         )
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"RequestTable({len(self)} requests)"
 
 
 @dataclass
